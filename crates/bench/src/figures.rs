@@ -21,15 +21,17 @@ use crate::report::{
 };
 use crate::runners::{default_config_for, run_algo, run_algo_with_timeout, AlgoKind, RunResult};
 use progxe_core::config::OrderingPolicy;
+use progxe_core::driver::TaskSpawner;
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
 use progxe_core::session::ProgressiveEngine;
 use progxe_core::sink::CountSink;
 use progxe_core::source::SourceView;
 use progxe_datagen::{Distribution, SmjWorkload, WorkloadSpec};
-use progxe_runtime::ParallelProgXe;
+use progxe_runtime::EngineRuntime;
 use progxe_skyline::Preference;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Shared experiment options (CLI overrides).
@@ -333,8 +335,8 @@ pub fn scaling(opt: &ExpOptions) {
 
 /// Thread scaling: end-to-end time of the 10k anti-correlated workload
 /// (the skyline-hostile case) against `ProgXeConfig::threads`. `threads=1`
-/// runs the unified driver's `Inline` backend; higher counts run its
-/// `Pooled` backend over the engine's shared runtime. Reports per-row
+/// runs every region on the session's thread; higher counts give the
+/// engine a shared runtime of that many workers. Reports per-row
 /// speedup over the inline baseline — the ROADMAP's "as fast as the
 /// hardware allows" tracking number — and additionally measures the inline
 /// local-skyline pre-filter against the pre-filter-free streaming
@@ -400,12 +402,13 @@ pub fn threads(opt: &ExpOptions) {
     }
     for &count in counts {
         let config = base_cfg.clone().with_threads(count);
-        let (mode, engine): (_, Box<dyn ProgressiveEngine>) = if count > 1 {
-            ("pooled", Box::new(ParallelProgXe::new(config)))
+        let (mode, spawner) = if count > 1 {
+            let runtime: Arc<dyn TaskSpawner> = Arc::new(EngineRuntime::new(count));
+            ("pooled", Some(runtime))
         } else {
-            ("inline", Box::new(ProgXe::new(config)))
+            ("inline", None)
         };
-        let (first, stats) = run_engine(engine);
+        let (first, stats) = run_engine(Box::new(ProgXe::new(config).with_spawner(spawner)));
         runs.push(Run {
             mode,
             threads: count,
@@ -514,8 +517,6 @@ pub fn threads(opt: &ExpOptions) {
 pub struct IngestRun {
     /// Arrival-schedule family.
     pub schedule: &'static str,
-    /// Executor backend (`inline` / `pooled`).
-    pub backend: &'static str,
     /// Simulated per-step arrival interval.
     pub interval_ms: f64,
     /// Simulated instant the last batch arrived.
@@ -546,7 +547,7 @@ pub struct IngestRun {
 /// move) — the two ends of the remote-source spectrum.
 ///
 /// Writes `ingest.csv` and machine-readable `BENCH_ingest.json`
-/// (arrival-rate vs first-result-ms per schedule × backend); CI uploads
+/// (arrival-rate vs first-result-ms per schedule); CI uploads
 /// the JSON as an artifact next to `BENCH_threads.json`.
 pub fn ingest(opt: &ExpOptions) {
     let runs = ingest_measurements(opt);
@@ -559,7 +560,6 @@ pub fn ingest(opt: &ExpOptions) {
 fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
     let mut table = Table::new(&[
         "schedule",
-        "backend",
         "interval",
         "arrival end",
         "stream first",
@@ -571,7 +571,6 @@ fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
     for run in runs {
         table.row(vec![
             run.schedule.to_string(),
-            run.backend.to_string(),
             format!("{:.0}ms", run.interval_ms),
             format!("{:.1}ms", run.arrival_end_ms),
             run.first_result_ms
@@ -582,7 +581,6 @@ fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
         ]);
         rows.push(vec![
             run.schedule.to_string(),
-            run.backend.to_string(),
             format!("{:.3}", run.interval_ms),
             format!("{:.3}", run.arrival_end_ms),
             run.first_result_ms
@@ -594,7 +592,6 @@ fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
         ]);
         json_runs.push(json_object(&[
             ("schedule", json_str(run.schedule)),
-            ("backend", json_str(run.backend)),
             ("interval_ms", format!("{:.3}", run.interval_ms)),
             ("arrival_end_ms", format!("{:.3}", run.arrival_end_ms)),
             (
@@ -617,7 +614,6 @@ fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
         "ingest",
         &[
             "schedule",
-            "backend",
             "interval_ms",
             "arrival_end_ms",
             "first_ms",
@@ -663,18 +659,15 @@ pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
     let spec = || StreamSpec::new(vec![1.0; dims], vec![100.0; dims]).unwrap();
     let config = default_config_for(dims, sigma);
 
-    // Batch-engine time-to-first-result, measured once per backend: it
-    // cannot start before the full input arrived, so its simulated first
-    // result is `arrival_end + this`.
+    // Batch-engine time-to-first-result, measured once: it cannot start
+    // before the full input arrived, so its simulated first result is
+    // `arrival_end + this`.
     let r_view = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t_view = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
-    let batch_first = |pooled: bool| -> f64 {
-        let engine: Box<dyn ProgressiveEngine> = if pooled {
-            Box::new(ParallelProgXe::new(config.clone().with_threads(4)))
-        } else {
-            Box::new(ProgXe::new(config.clone()))
-        };
-        let mut session = engine.open(&r_view, &t_view, &maps).expect("valid config");
+    let batch_first = {
+        let mut session = ProgXe::new(config.clone())
+            .open(&r_view, &t_view, &maps)
+            .expect("valid config");
         let mut first = None;
         while let Some(event) = session.next_batch() {
             if first.is_none() && !event.tuples.is_empty() {
@@ -684,7 +677,6 @@ pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
         session.finish();
         first.map(|d| d.as_secs_f64() * 1e3).unwrap_or(f64::NAN)
     };
-    let batch_first_by_backend = [batch_first(false), batch_first(true)];
 
     let schedules: Vec<(&'static str, ArrivalSpec)> = vec![
         (
@@ -708,91 +700,81 @@ pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
         let t_sched = t_variant.schedule(&w.t);
         let steps = r_sched.batches.len().max(t_sched.batches.len());
         for &interval in intervals_ms {
-            for (bi, backend) in ["inline", "pooled"].iter().enumerate() {
-                let pooled = *backend == "pooled";
-                let mut session = if pooled {
-                    ParallelProgXe::new(config.clone().with_threads(4))
-                        .open_ingest(&maps, spec(), spec())
-                        .expect("valid config")
-                } else {
-                    IngestSession::open(&config, &maps, spec(), spec()).expect("valid config")
-                };
-                let mut compute = std::time::Duration::ZERO;
-                let mut first: Option<f64> = None;
-                let mut results = 0u64;
-                let drain = |session: &mut IngestSession,
-                             arrival_clock_ms: f64,
-                             compute: &mut std::time::Duration,
-                             first: &mut Option<f64>,
-                             results: &mut u64| {
-                    let t0 = Instant::now();
-                    while let IngestPoll::Batch(event) = session.poll() {
-                        if first.is_none() && !event.tuples.is_empty() {
-                            *first = Some(
-                                arrival_clock_ms + (*compute + t0.elapsed()).as_secs_f64() * 1e3,
-                            );
-                        }
-                        *results += event.tuples.len() as u64;
+            let mut session =
+                IngestSession::open(&config, &maps, spec(), spec()).expect("valid config");
+            let mut compute = std::time::Duration::ZERO;
+            let mut first: Option<f64> = None;
+            let mut results = 0u64;
+            let drain = |session: &mut IngestSession,
+                         arrival_clock_ms: f64,
+                         compute: &mut std::time::Duration,
+                         first: &mut Option<f64>,
+                         results: &mut u64| {
+                let t0 = Instant::now();
+                while let IngestPoll::Batch(event) = session.poll() {
+                    if first.is_none() && !event.tuples.is_empty() {
+                        *first =
+                            Some(arrival_clock_ms + (*compute + t0.elapsed()).as_secs_f64() * 1e3);
                     }
-                    *compute += t0.elapsed();
-                };
-                for i in 0..steps {
-                    let arrival_clock_ms = (i + 1) as f64 * interval;
-                    for (side, rel, sched) in
-                        [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
-                    {
-                        let Some(batch) = sched.batches.get(i) else {
-                            continue;
-                        };
-                        let t0 = Instant::now();
-                        let rows: Vec<(u32, &[f64], u32)> = batch
-                            .rows
-                            .iter()
-                            .map(|&row| {
-                                (
-                                    row,
-                                    rel.attrs_of(row as usize),
-                                    rel.join_key_of(row as usize),
-                                )
-                            })
-                            .collect();
-                        session.push_with_ids(side, &rows).expect("valid batch");
-                        if let Some(wm) = &batch.watermark {
-                            session.set_watermark(side, wm).expect("sound watermark");
-                        }
-                        compute += t0.elapsed();
-                        drain(
-                            &mut session,
-                            arrival_clock_ms,
-                            &mut compute,
-                            &mut first,
-                            &mut results,
-                        );
-                    }
+                    *results += event.tuples.len() as u64;
                 }
-                let arrival_end_ms = steps as f64 * interval;
-                session.close(SourceId::R);
-                session.close(SourceId::T);
-                drain(
-                    &mut session,
-                    arrival_end_ms,
-                    &mut compute,
-                    &mut first,
-                    &mut results,
-                );
-                let stats = session.finish();
-                assert!(!stats.cancelled);
-                runs.push(IngestRun {
-                    schedule: name,
-                    backend,
-                    interval_ms: interval,
-                    arrival_end_ms,
-                    first_result_ms: first,
-                    batch_first_result_ms: arrival_end_ms + batch_first_by_backend[bi],
-                    compute_ms: compute.as_secs_f64() * 1e3,
-                    results,
-                });
+                *compute += t0.elapsed();
+            };
+            for i in 0..steps {
+                let arrival_clock_ms = (i + 1) as f64 * interval;
+                for (side, rel, sched) in
+                    [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
+                {
+                    let Some(batch) = sched.batches.get(i) else {
+                        continue;
+                    };
+                    let t0 = Instant::now();
+                    let rows: Vec<(u32, &[f64], u32)> = batch
+                        .rows
+                        .iter()
+                        .map(|&row| {
+                            (
+                                row,
+                                rel.attrs_of(row as usize),
+                                rel.join_key_of(row as usize),
+                            )
+                        })
+                        .collect();
+                    session.push_with_ids(side, &rows).expect("valid batch");
+                    if let Some(wm) = &batch.watermark {
+                        session.set_watermark(side, wm).expect("sound watermark");
+                    }
+                    compute += t0.elapsed();
+                    drain(
+                        &mut session,
+                        arrival_clock_ms,
+                        &mut compute,
+                        &mut first,
+                        &mut results,
+                    );
+                }
             }
+            let arrival_end_ms = steps as f64 * interval;
+            session.close(SourceId::R);
+            session.close(SourceId::T);
+            drain(
+                &mut session,
+                arrival_end_ms,
+                &mut compute,
+                &mut first,
+                &mut results,
+            );
+            let stats = session.finish();
+            assert!(!stats.cancelled);
+            runs.push(IngestRun {
+                schedule: name,
+                interval_ms: interval,
+                arrival_end_ms,
+                first_result_ms: first,
+                batch_first_result_ms: arrival_end_ms + batch_first,
+                compute_ms: compute.as_secs_f64() * 1e3,
+                results,
+            });
         }
     }
     runs
@@ -1467,7 +1449,7 @@ pub fn obs_measurements(opt: &ExpOptions) -> Vec<ObsRun> {
 
     let run_once = |recorder: Option<Arc<dyn Recorder>>| {
         let mut session = ProgXe::new(config.clone())
-            .with_recorder_opt(recorder)
+            .with_recorder(recorder)
             .open(&r, &t, &maps)
             .expect("valid configuration");
         let mut first: Option<Duration> = None;
@@ -2403,18 +2385,13 @@ mod tests {
         // The acceptance criterion behind `BENCH_ingest.json`: on the
         // trickle workload (sorted small batches + watermarks) the
         // streaming engine's first result must land strictly before the
-        // batch engine's, which cannot start until the last batch arrived
-        // — on BOTH backends. Asserted on the measurements; the writer
-        // then runs on the same runs (no second sweep).
+        // batch engine's, which cannot start until the last batch arrived.
+        // Asserted on the measurements; the writer then runs on the same
+        // runs (no second sweep).
         let runs = ingest_measurements(&opt);
         let mut trickle_seen = 0;
         for run in &runs {
-            assert!(
-                run.results > 0,
-                "{}/{} emitted nothing",
-                run.schedule,
-                run.backend
-            );
+            assert!(run.results > 0, "{} emitted nothing", run.schedule);
             if run.schedule == "trickle" {
                 trickle_seen += 1;
                 let first = run
@@ -2422,18 +2399,16 @@ mod tests {
                     .expect("trickle run must produce results");
                 assert!(
                     first < run.batch_first_result_ms,
-                    "{}: streaming first {first:.3}ms not below batch {:.3}ms",
-                    run.backend,
+                    "streaming first {first:.3}ms not below batch {:.3}ms",
                     run.batch_first_result_ms
                 );
                 assert!(
                     first < run.arrival_end_ms,
-                    "{}: trickle first result should precede full arrival",
-                    run.backend
+                    "trickle first result should precede full arrival"
                 );
             }
         }
-        assert!(trickle_seen >= 2, "both backends must run the trickle leg");
+        assert!(trickle_seen >= 1, "the trickle leg must run");
 
         write_ingest_outputs(&opt, &runs);
         assert!(opt.out.join("ingest.csv").exists());
@@ -2446,7 +2421,6 @@ mod tests {
             "\"batch_first_result_ms\"",
             "\"trickle\"",
             "\"uniform-shuffle\"",
-            "\"pooled\"",
         ] {
             assert!(json.contains(key), "BENCH_ingest.json missing {key}");
         }

@@ -73,28 +73,30 @@ pub struct ProgXeConfig {
     pub selectivity_hint: Option<f64>,
     /// Emit per-region batches even when empty (useful for tracing).
     pub emit_empty_batches: bool,
-    /// Worker threads for the tuple-level phase. `1` (the default) runs the
-    /// unified region driver on its `Inline` backend inside
-    /// [`crate::executor::ProgXe`]; larger values are honored by the
-    /// `progxe-runtime` crate's pooled driver (and by the query layer's
-    /// engine dispatch), which fans region work units across a shared
-    /// thread pool while a single ordered committer preserves the
-    /// progressive-emission guarantees.
+    /// Worker threads for the tuple-level phase. The query layer sizes an
+    /// engine's shared `progxe-runtime` pool from it: `1` (the default)
+    /// runs every region on the session's thread; larger values hand
+    /// regions at or above [`prefilter_min_pairs`](Self::prefilter_min_pairs)
+    /// to the pool (see
+    /// [`ProgXe::with_spawner`](crate::executor::ProgXe::with_spawner))
+    /// while a single ordered committer preserves the progressive-emission
+    /// guarantees.
     pub threads: NonZeroUsize,
     /// Join-pair bound (`n_R · n_T` of a region's partition pair) at which
-    /// the `Inline` backend materializes the region batch and runs the
+    /// the region driver materializes the region batch and runs the
     /// bounded local skyline pre-filter before cell-store insertion —
     /// the arrangement that measured ~1.8× on the 10k anti-correlated
     /// d=3 σ=0.1 workload. Regions below the bound stream their matches
-    /// straight into the store, avoiding the batch allocation. `0` forces
-    /// the batch path everywhere; `usize::MAX` disables it (the pre-PR
-    /// streaming behavior). Pool workers always pre-filter.
+    /// straight into the store on the committer thread, avoiding the batch
+    /// allocation. `0` forces the batch path everywhere; `usize::MAX`
+    /// disables it (every region streams). One gate for every run: only
+    /// batch regions ever reach a worker pool.
     pub prefilter_min_pairs: usize,
 }
 
 /// Default [`ProgXeConfig::prefilter_min_pairs`]: regions at or above this
-/// join-pair bound take the batch + local-skyline pre-filter path on the
-/// `Inline` backend. Measured on the `figures -- threads` workload (10k
+/// join-pair bound take the batch + local-skyline pre-filter path.
+/// Measured on the `figures -- threads` workload (10k
 /// anti-correlated, d=3, σ=0.1, see `BENCH_threads.json`): the pre-filter
 /// arrangement beats the streaming insert ~1.8× end to end, and gate
 /// values from 0 to 4096 are indistinguishable there (the workload is
@@ -181,7 +183,7 @@ impl ProgXeConfig {
         self
     }
 
-    /// Builder: set the `Inline` backend's local-skyline pre-filter gate
+    /// Builder: set the region driver's local-skyline pre-filter gate
     /// (see [`ProgXeConfig::prefilter_min_pairs`]).
     pub fn with_prefilter_min_pairs(mut self, min_pairs: usize) -> Self {
         self.prefilter_min_pairs = min_pairs;

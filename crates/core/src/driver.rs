@@ -1,37 +1,34 @@
 //! The unified region driver: one schedule-pop → tuple-level phase →
-//! ordered-commit loop for every execution backend.
+//! ordered-commit loop for every run, batch or streaming, with or without
+//! worker threads.
 //!
 //! Before this module existed the repo implemented the ProgXe region loop
 //! twice — a sequential loop inside `executor.rs` and a parallel one in the
 //! `progxe-runtime` crate — with divergent hot paths. [`RegionDriver`]
-//! collapses them: the loop lives here exactly once, parameterized by an
-//! [`ExecutorBackend`]:
+//! collapses them: the loop lives here exactly once, and every popped
+//! region takes one of two paths, decided in one place by its join-pair
+//! bound against [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig):
 //!
-//! * [`ExecutorBackend::Inline`] — `threads = 1`. Regions are computed on
-//!   the calling thread, one per step. Large regions (join-pair bound at or
-//!   above [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig))
-//!   go through [`RegionCtx::compute`] and therefore inherit the
-//!   worker-side bounded local skyline pre-filter; small regions stream
-//!   their matches straight into the cell store, skipping the batch
-//!   materialization.
-//! * [`ExecutorBackend::Pooled`] — `threads > 1`. Regions are fanned out as
-//!   pure work units through a [`TaskSpawner`] (the `progxe-runtime` crate
-//!   implements it for its shared thread pool) into a bounded dispatch
-//!   window, and batches are committed **strictly in pop order** via a
-//!   reorder buffer — the discipline that keeps parallel emission
-//!   deterministic regardless of worker interleaving.
+//! * **stream** (below the gate, and every streaming-ingestion region) —
+//!   the committer thread joins the region straight into the cell store,
+//!   skipping batch materialization;
+//! * **batch** (at or above the gate) — [`RegionCtx::compute`] joins, maps
+//!   and runs the bounded local skyline pre-filter. With a [`TaskSpawner`]
+//!   (the `progxe-runtime` crate implements it for its shared thread pool)
+//!   batches run on workers inside a bounded dispatch window; without one
+//!   they run in place, one region per step.
 //!
 //! ```text
-//!             ┌─ Inline:  compute on this thread ──────────────┐
-//! schedule ───┤                                                ├─▶ ordered
-//!             └─ Pooled:  spawner ─▶ workers ─▶ reorder buffer ─┘   commit
+//!             ┌─ stream: join into the cell store on this thread ─┐
+//! schedule ───┤                                                   ├─▶ commit
+//!             └─ batch:  worker or in place ─▶ reorder buffer ────┘  in pop order
 //! ```
 //!
-//! Both backends share [`Committer`] — the single-threaded owner of the
-//! cell store, the region schedule, and Algorithm 2's blocker bookkeeping.
-//! All emission decisions flow through it in schedule order, which is what
-//! keeps progressive output safe (no false positives or negatives) no
-//! matter who computed the batches.
+//! Both paths share [`Committer`] — the single-threaded owner of the cell
+//! store, the region schedule, and Algorithm 2's blocker bookkeeping —
+//! and commit strictly in pop order. All emission decisions flow through
+//! it, which is what keeps progressive output safe (no false positives or
+//! negatives) and deterministic no matter who computed the batches.
 
 use crate::benefit;
 use crate::cells::CellStore;
@@ -111,8 +108,8 @@ pub enum Popped {
 
 impl RegionSchedule {
     /// Picks the next region to dispatch. `dispatched` marks regions handed
-    /// out but not yet resolved — on an inline run it always equals the
-    /// resolved set, but the pooled backend keeps a window of them in
+    /// out but not yet resolved — without a spawner it always equals the
+    /// resolved set, but a driver with one keeps a window of them in
     /// flight. Returns [`Popped::Exhausted`] when nothing is dispatchable
     /// *right now* (either all regions are dispatched/resolved, or —
     /// ProgOrder with a root-free cyclic component — every pending region
@@ -287,11 +284,11 @@ impl RowIds {
 /// * [`discard_dead`](Self::discard_dead) — the region box was already
 ///   fully dominated when it was popped; no tuple work at all;
 /// * [`process_and_commit`](Self::process_and_commit) — streaming path
-///   (small regions on the inline backend): the join inserts directly into
+///   (regions below the pre-filter gate): the join inserts directly into
 ///   the cell store;
 /// * [`commit_batch`](Self::commit_batch) — batch path: apply a
-///   [`RegionBatch`], whether a pool worker or the inline backend computed
-///   it.
+///   [`RegionBatch`], whether a pool worker computed it or the driver did
+///   in place.
 ///
 /// Drivers **must** commit batches in the order the regions were popped
 /// from [`pop_next`](Self::pop_next); combined with the cancellation-token
@@ -410,7 +407,7 @@ impl Committer {
     }
 
     /// Upper bound on the region's join work: `n_R · n_T` of its partition
-    /// pair. The inline backend gates the local-skyline pre-filter on this.
+    /// pair. The driver gates the local-skyline pre-filter on this.
     /// Streaming-ingestion regions carry zero counts (sizes are unknowable
     /// before arrival), so they always take the streaming-insert path.
     pub fn pair_bound(&self, rid: u32) -> u64 {
@@ -419,9 +416,9 @@ impl Committer {
     }
 
     /// Picks the next region to work on, marking it dispatched. `None`
-    /// means nothing is dispatchable right now — which is final on an
-    /// inline run, but on a pooled run may become `Some` again after
-    /// in-flight regions commit (new EL-graph roots appear).
+    /// means nothing is dispatchable right now — which is final when
+    /// nothing is in flight, but may become `Some` again after in-flight
+    /// regions commit (new EL-graph roots appear).
     pub fn pop_next(&mut self, stats: &mut ExecStats) -> Option<u32> {
         match self.pop_gated(stats, None) {
             Popped::Region(rid) => Some(rid),
@@ -662,40 +659,26 @@ impl std::fmt::Display for SpawnError {
 impl std::error::Error for SpawnError {}
 
 /// Something that can run `'static` jobs on worker threads. The
-/// `progxe-runtime` crate implements this for its shared thread pool;
-/// keeping the trait here lets [`RegionDriver`] stay pool-agnostic while
-/// the whole region loop lives in one place.
-pub trait TaskSpawner: Send + Sync {
+/// `progxe-runtime` crate implements this for its shared thread pool and
+/// for the engine runtime that spawns that pool lazily; keeping the trait
+/// here lets [`RegionDriver`] stay pool-agnostic while the whole region
+/// loop lives in one place.
+pub trait TaskSpawner: Send + Sync + std::fmt::Debug {
+    /// Worker count behind the spawner — sizes the dispatch window.
+    fn threads(&self) -> usize;
+
+    /// The spawner one session dispatches through, from its first job to
+    /// its end. A session calls this only when it first hands a region to
+    /// a worker (so a run that never does spawns nothing) and holds the
+    /// result for the rest of its life: a lazily-spawning runtime returns
+    /// its current pool here, which keeps that pool — and the jobs already
+    /// queued on it — alive even if the runtime shuts it down meanwhile.
+    fn pin(self: Arc<Self>) -> Arc<dyn TaskSpawner>;
+
     /// Enqueues a job for execution on some worker thread, or returns
     /// [`SpawnError`] if the spawner has shut down. `Ok` is a contract:
     /// an accepted job runs (and thus reports) exactly once.
     fn spawn_task(&self, job: Box<dyn FnOnce() + Send + 'static>) -> Result<(), SpawnError>;
-}
-
-/// How [`RegionDriver`] executes the tuple-level phase.
-pub enum ExecutorBackend {
-    /// Compute regions on the calling thread, one per step.
-    Inline,
-    /// Fan region work units out through a [`TaskSpawner`] with a bounded
-    /// dispatch window of `2 × threads`.
-    Pooled {
-        /// Executes the work units (e.g. a shared thread pool handle).
-        spawner: Arc<dyn TaskSpawner>,
-        /// Worker count behind the spawner — sizes the dispatch window.
-        threads: usize,
-    },
-}
-
-impl std::fmt::Debug for ExecutorBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutorBackend::Inline => f.write_str("Inline"),
-            ExecutorBackend::Pooled { threads, .. } => f
-                .debug_struct("Pooled")
-                .field("threads", threads)
-                .finish_non_exhaustive(),
-        }
-    }
 }
 
 /// Reorder buffer between workers and the committer: a `Mutex`/`Condvar`
@@ -772,27 +755,18 @@ impl Drop for DeliveryGuard {
 }
 
 /// Where the driver's tuple-level compute comes from.
-///
-/// Cloning is cheap (`Arc` bumps); pooled work units capture a clone.
-#[derive(Clone)]
 pub(crate) enum WorkSource {
     /// The batch pipeline: fully materialized filtered sources
-    /// ([`RegionCtx`]).
+    /// ([`RegionCtx`]). Regions at or above the pre-filter gate are
+    /// computed as batches, on a worker when the driver has a spawner.
     Query(Arc<RegionCtx>),
     /// Streaming ingestion: sealed stream partitions behind the shared
     /// ingest state ([`crate::ingest::IngestCtx`]); regions gate on cell
-    /// readiness.
+    /// readiness and always stream into the cell store.
     Ingest(Arc<crate::ingest::IngestCtx>),
 }
 
 impl WorkSource {
-    fn compute(&self, rid: u32, token: &CancellationToken) -> RegionBatch {
-        match self {
-            WorkSource::Query(ctx) => ctx.compute(rid, token),
-            WorkSource::Ingest(ctx) => ctx.compute(rid, token),
-        }
-    }
-
     fn process_into(
         &self,
         rid: u32,
@@ -804,13 +778,16 @@ impl WorkSource {
             WorkSource::Ingest(ctx) => ctx.process_into(rid, store, token),
         }
     }
+}
 
-    fn out_dims(&self) -> usize {
-        match self {
-            WorkSource::Query(ctx) => ctx.maps().out_dims(),
-            WorkSource::Ingest(ctx) => ctx.out_dims(),
-        }
-    }
+/// One popped region awaiting its commit, in pop order.
+enum Slot {
+    /// Streams into the cell store on the committer thread when it
+    /// reaches the head of the queue.
+    Stream(u32),
+    /// A batch computed by a worker (or in place, without a spawner),
+    /// delivered to the reorder buffer under this dispatch sequence number.
+    Batch(u64),
 }
 
 /// Outcome of one [`RegionDriver::poll_next`] call.
@@ -851,107 +828,44 @@ pub struct RegionDriver {
     token: CancellationToken,
     stats: ExecStats,
     committer: Option<Committer>,
-    backend: ExecutorBackend,
+    /// Runs batch regions on worker threads; `None` computes them in place.
+    /// Replaced by its [`TaskSpawner::pin`]ned form on the first dispatch.
+    spawner: Option<Arc<dyn TaskSpawner>>,
     work: Option<WorkSource>,
-    /// Whether pops go through the ingest readiness gate (streaming runs).
-    gated: bool,
-    /// Join-pair bound at which the inline backend switches from streaming
-    /// insert to batch compute + local skyline pre-filter.
+    /// Join-pair bound at which a region switches from streaming insert to
+    /// batch compute + local skyline pre-filter.
     prefilter_min_pairs: u64,
     queue: Arc<ResultQueue>,
-    /// Dispatch sequence numbers of in-flight regions, oldest first
-    /// (pooled backend only; always empty on inline).
-    inflight: VecDeque<u64>,
+    /// Popped, not yet committed regions, oldest first.
+    inflight: VecDeque<Slot>,
     next_seq: u64,
-    /// Dispatch-window size: 1 inline; `2 × threads` pooled — enough to
-    /// keep workers busy while the committer blocks on the oldest batch,
-    /// small enough to bound batch memory and stay close to the schedule's
-    /// intent. Readiness-gated (streaming) runs force 1 on either backend:
-    /// popping ahead of the commit frontier would interleave pops and
-    /// commits differently per arrival schedule and break emission-order
-    /// invariance.
+    /// Dispatch-window size: 1 without a spawner; `2 × threads` with one —
+    /// enough to keep workers busy while the committer blocks on the oldest
+    /// batch, small enough to bound batch memory and stay close to the
+    /// schedule's intent.
     window: usize,
     ready: VecDeque<ResultEvent>,
     done: bool,
     /// Clone of the committer's trace handle, used for driver-side events
-    /// (inline compute spans, the pooled arm's worker spans, cancellation).
+    /// (batch compute spans, cancellation).
     trace: Trace,
     /// Whether the `cancel` point was already recorded (once per session).
     cancel_noted: bool,
 }
 
 impl RegionDriver {
-    /// Builds the driver over a prepared pipeline. `prefilter_min_pairs`
-    /// comes from [`ProgXeConfig`](crate::config::ProgXeConfig) and only
-    /// affects the inline backend (pool workers always pre-filter).
+    /// Builds the driver over a prepared pipeline. Regions whose join-pair
+    /// bound is below `prefilter_min_pairs` (from
+    /// [`ProgXeConfig`](crate::config::ProgXeConfig)) stream into the cell
+    /// store on the calling thread; the others are computed as batches with
+    /// the local pre-filter — on `spawner`'s workers when there is one.
     pub fn new(
         prep: Prepared,
         token: CancellationToken,
-        backend: ExecutorBackend,
+        spawner: Option<Arc<dyn TaskSpawner>>,
         prefilter_min_pairs: usize,
     ) -> Self {
         let work = prep.ctx.map(WorkSource::Query);
-        Self::from_parts(
-            prep.committer,
-            work,
-            prep.stats,
-            prep.started,
-            token,
-            backend,
-            prefilter_min_pairs,
-            false,
-        )
-    }
-
-    /// Builds a readiness-gated driver for streaming ingestion. Pops stall
-    /// until the ingest state seals the scheduled region's input cells, and
-    /// the dispatch window is forced to 1 (see [`RegionDriver::window`]).
-    pub(crate) fn for_ingest(
-        committer: Committer,
-        ctx: Arc<crate::ingest::IngestCtx>,
-        stats: ExecStats,
-        started: Instant,
-        token: CancellationToken,
-        backend: ExecutorBackend,
-    ) -> Self {
-        Self::from_parts(
-            Some(committer),
-            Some(WorkSource::Ingest(ctx)),
-            stats,
-            started,
-            token,
-            backend,
-            // Streaming regions have pair bound 0 and always stream-insert
-            // on the inline backend; the gate value is irrelevant.
-            usize::MAX,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts(
-        committer: Option<Committer>,
-        work: Option<WorkSource>,
-        stats: ExecStats,
-        started: Instant,
-        token: CancellationToken,
-        backend: ExecutorBackend,
-        prefilter_min_pairs: usize,
-        gated: bool,
-    ) -> Self {
-        let window = if gated {
-            1
-        } else {
-            match &backend {
-                ExecutorBackend::Inline => 1,
-                ExecutorBackend::Pooled { threads, .. } => threads.saturating_mul(2).max(1),
-            }
-        };
-        let done = committer.is_none();
-        let trace = committer
-            .as_ref()
-            .map(|c| c.trace().clone())
-            .unwrap_or_default();
         // `usize::MAX` is the documented "filter disabled" sentinel; map it
         // to `u64::MAX` explicitly so a 32-bit `usize::MAX` (2^32−1, which
         // real pair bounds can exceed) still disables the filter.
@@ -960,14 +874,62 @@ impl RegionDriver {
         } else {
             prefilter_min_pairs as u64
         };
+        Self::from_parts(
+            prep.committer,
+            work,
+            prep.stats,
+            prep.started,
+            token,
+            spawner,
+            prefilter_min_pairs,
+        )
+    }
+
+    /// Builds a readiness-gated driver for streaming ingestion: pops stall
+    /// until the ingest state seals the scheduled region's input cells, and
+    /// every region streams on the calling thread, one per step.
+    pub(crate) fn for_ingest(
+        committer: Committer,
+        ctx: Arc<crate::ingest::IngestCtx>,
+        stats: ExecStats,
+        started: Instant,
+        token: CancellationToken,
+    ) -> Self {
+        Self::from_parts(
+            Some(committer),
+            Some(WorkSource::Ingest(ctx)),
+            stats,
+            started,
+            token,
+            None,
+            u64::MAX,
+        )
+    }
+
+    fn from_parts(
+        committer: Option<Committer>,
+        work: Option<WorkSource>,
+        stats: ExecStats,
+        started: Instant,
+        token: CancellationToken,
+        spawner: Option<Arc<dyn TaskSpawner>>,
+        prefilter_min_pairs: u64,
+    ) -> Self {
+        let window = spawner
+            .as_ref()
+            .map_or(1, |s| s.threads().saturating_mul(2).max(1));
+        let done = committer.is_none();
+        let trace = committer
+            .as_ref()
+            .map(|c| c.trace().clone())
+            .unwrap_or_default();
         Self {
             start: started,
             token,
             stats,
             committer,
-            backend,
+            spawner,
             work,
-            gated,
             prefilter_min_pairs,
             queue: Arc::new(ResultQueue::new()),
             inflight: VecDeque::new(),
@@ -1006,12 +968,16 @@ impl RegionDriver {
         }
     }
 
-    /// One deterministic scheduling round. Inline: pop one region, compute
-    /// it here (streaming or batch per the pre-filter gate), commit.
-    /// Pooled: top the dispatch window up, then — unless dead-region
-    /// discards already produced deliverable events — commit the oldest
-    /// in-flight batch. Gated (ingestion) runs additionally stall when the
-    /// scheduled region's input is not sealed yet.
+    /// One deterministic scheduling round: top the window up with popped
+    /// regions, then — unless a dead-region discard already produced a
+    /// deliverable event — commit the oldest one. A region below the
+    /// pre-filter gate is queued to stream on this thread and ends the
+    /// top-up, so with nothing in flight it runs at once; a region at or
+    /// above it is computed as a batch, on a worker when there is a
+    /// spawner. Commits follow pop order on every path, so the emitted
+    /// sequence is a pure function of the query and its configuration.
+    /// Gated (ingestion) runs stall when the scheduled region's input is
+    /// not sealed yet.
     fn advance(&mut self) -> Advance {
         let Some(committer) = self.committer.as_mut() else {
             return Advance::Finished;
@@ -1020,12 +986,12 @@ impl RegionDriver {
             .work
             .as_ref()
             .expect("a committer implies a work source");
-        let ready_gate: Option<Box<dyn Fn(u32) -> bool>> = match (self.gated, work) {
-            (true, WorkSource::Ingest(ctx)) => {
+        let ready_gate: Option<Box<dyn Fn(u32) -> bool>> = match work {
+            WorkSource::Ingest(ctx) => {
                 let ctx = Arc::clone(ctx);
                 Some(Box::new(move |rid| ctx.is_ready(rid)))
             }
-            _ => None,
+            WorkSource::Query(_) => None,
         };
         let mut stalled = false;
         while self.inflight.len() < self.window {
@@ -1039,141 +1005,125 @@ impl RegionDriver {
             };
             if committer.region_box_is_dead(rid) {
                 if let Some(event) = committer.discard_dead(rid, &mut self.stats) {
+                    // Deliver the released cells before touching the next
+                    // region; the next round resumes the top-up.
                     self.ready.push_back(event);
-                    // Inline delivers the released cells before touching
-                    // the next region (one region per step, like the
-                    // pre-refactor sequential loop); the pooled arm keeps
-                    // filling its window and delivers via the ready-check
-                    // below, before blocking on a worker.
-                    if matches!(self.backend, ExecutorBackend::Inline) {
-                        return Advance::Progressed;
-                    }
+                    return Advance::Progressed;
                 }
                 continue;
             }
-            match &self.backend {
-                ExecutorBackend::Inline => {
-                    return if committer.pair_bound(rid) < self.prefilter_min_pairs {
-                        // Small region: stream matches straight into the
-                        // cell store, no batch materialization.
-                        let token = &self.token;
-                        match committer.process_and_commit(rid, &mut self.stats, |store| {
-                            work.process_into(rid, store, token)
-                        }) {
-                            Some(Some(event)) => {
-                                self.ready.push_back(event);
-                                Advance::Progressed
-                            }
-                            Some(None) => Advance::Progressed,
-                            None => Advance::Finished, // cancelled mid-region
-                        }
-                    } else {
-                        // Large region: batch compute + bounded local
-                        // skyline pre-filter before cell-store insertion.
-                        let span = self.trace.span(Span::TuplePhase {
-                            region_id: u64::from(rid),
-                            pairs: committer.pair_bound(rid),
-                        });
-                        let batch = work.compute(rid, &self.token);
-                        span.end();
-                        if !batch.completed {
-                            // Never committed, but its partial work is
-                            // real: account it so cancelled-run stats
-                            // reflect the pairs actually evaluated.
-                            Self::absorb_partial_batch(&mut self.stats, &batch);
-                            self.stats.cancelled = true;
-                            Advance::Finished
-                        } else {
-                            if let Some(event) = committer.commit_batch(batch, &mut self.stats) {
-                                self.ready.push_back(event);
-                            }
-                            Advance::Progressed
-                        }
-                    };
+            let ctx = match work {
+                WorkSource::Query(ctx) if committer.pair_bound(rid) >= self.prefilter_min_pairs => {
+                    ctx
                 }
-                ExecutorBackend::Pooled { spawner, .. } => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let work = work.clone();
-                    let token = self.token.clone();
-                    let queue = Arc::clone(&self.queue);
-                    let dims = work.out_dims();
-                    let trace = self.trace.clone();
-                    let pairs = committer.pair_bound(rid);
-                    let spawned = spawner.spawn_task(Box::new(move || {
-                        let guard = DeliveryGuard {
-                            queue,
-                            seq,
-                            rid,
-                            dims,
-                            delivered: false,
-                        };
-                        // Declared after the guard so an unwinding compute
-                        // still closes the span *before* the aborted batch
-                        // is delivered (drop order is reverse declaration).
-                        let span = trace.span(Span::TuplePhase {
-                            region_id: u64::from(rid),
-                            pairs,
-                        });
-                        let batch = work.compute(rid, &token);
-                        span.end();
-                        guard.deliver(batch);
-                    }));
-                    match spawned {
-                        Ok(()) => self.inflight.push_back(seq),
-                        Err(SpawnError) => {
-                            // The spawner shut down under this live session
-                            // (e.g. `EngineRuntime::shutdown` closed the
-                            // shared pool). The rejected job never reports,
-                            // so waiting on `seq` would deadlock; instead
-                            // the run cancels: fire the token so earlier
-                            // accepted jobs abort at their next check, and
-                            // let `finalize` scavenge whatever they already
-                            // delivered. The session surfaces this exactly
-                            // like a user cancel — `stats.cancelled`.
-                            progxe_obs::log::warn(
-                                "task spawner shut down under a live session; cancelling the run",
-                            );
-                            self.token.cancel();
-                            self.stats.cancelled = true;
-                            return Advance::Finished;
-                        }
-                    }
+                _ => {
+                    self.inflight.push_back(Slot::Stream(rid));
+                    break;
                 }
+            };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let ctx = Arc::clone(ctx);
+            let token = self.token.clone();
+            let queue = Arc::clone(&self.queue);
+            let dims = ctx.maps().out_dims();
+            let trace = self.trace.clone();
+            let pairs = committer.pair_bound(rid);
+            let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+                let guard = DeliveryGuard {
+                    queue,
+                    seq,
+                    rid,
+                    dims,
+                    delivered: false,
+                };
+                // Declared after the guard so an unwinding compute still
+                // closes the span *before* the aborted batch is delivered
+                // (drop order is reverse declaration).
+                let span = trace.span(Span::TuplePhase {
+                    region_id: u64::from(rid),
+                    pairs,
+                });
+                let batch = ctx.compute(rid, &token);
+                span.end();
+                guard.deliver(batch);
+            });
+            let spawned = match self.spawner.take() {
+                Some(spawner) => {
+                    let spawner = spawner.pin();
+                    let spawned = spawner.spawn_task(job);
+                    self.spawner = Some(spawner);
+                    spawned
+                }
+                None => {
+                    job();
+                    Ok(())
+                }
+            };
+            if spawned.is_err() {
+                // The spawner shut down under this live session (e.g.
+                // `EngineRuntime::shutdown` closed the shared pool). The
+                // rejected job never reports, so waiting on `seq` would
+                // deadlock; instead the run cancels: fire the token so
+                // earlier accepted jobs abort at their next check, and let
+                // `finalize` scavenge whatever they already delivered. The
+                // session surfaces this exactly like a user cancel —
+                // `stats.cancelled`.
+                progxe_obs::log::warn(
+                    "task spawner shut down under a live session; cancelling the run",
+                );
+                self.token.cancel();
+                self.stats.cancelled = true;
+                return Advance::Finished;
             }
+            self.inflight.push_back(Slot::Batch(seq));
         }
         if !self.ready.is_empty() {
             // Deliver discard-produced events before blocking on a worker.
             return Advance::Progressed;
         }
-        let Some(seq) = self.inflight.pop_front() else {
-            return if stalled {
-                Advance::Stalled
-            } else {
-                Advance::Finished
-            };
-        };
-        let batch = self.queue.wait_take(seq);
-        if !batch.completed {
-            // An incomplete batch has exactly two causes. If the shared
-            // token fired, this is an ordinary cancellation: the region
-            // stays unresolved and the run ends cancelled, never emitting
-            // from partial state. Otherwise the worker died (a panicking
-            // mapping function) and the DeliveryGuard reported for it —
-            // propagate, matching the inline backend's behavior instead of
-            // disguising a crash as a user-initiated cancel.
-            if !self.token.is_cancelled() {
-                panic!(
-                    "progxe worker panicked while computing region {} \
-                     (see stderr for the worker's panic message)",
-                    batch.rid
-                );
+        let event = match self.inflight.pop_front() {
+            None if stalled => return Advance::Stalled,
+            None => return Advance::Finished,
+            Some(Slot::Stream(rid)) if committer.region_box_is_dead(rid) => {
+                // Batches committed since the pop may have killed it.
+                committer.discard_dead(rid, &mut self.stats)
             }
-            Self::absorb_partial_batch(&mut self.stats, &batch);
-            self.stats.cancelled = true;
-            return Advance::Finished;
-        }
-        if let Some(event) = committer.commit_batch(batch, &mut self.stats) {
+            Some(Slot::Stream(rid)) => {
+                let token = &self.token;
+                match committer.process_and_commit(rid, &mut self.stats, |store| {
+                    work.process_into(rid, store, token)
+                }) {
+                    Some(event) => event,
+                    None => return Advance::Finished, // cancelled mid-region
+                }
+            }
+            Some(Slot::Batch(seq)) => {
+                let batch = self.queue.wait_take(seq);
+                if !batch.completed {
+                    // An incomplete batch has exactly two causes. If the
+                    // shared token fired, this is an ordinary cancellation:
+                    // the region stays unresolved and the run ends
+                    // cancelled, never emitting from partial state.
+                    // Otherwise the worker died (a panicking mapping
+                    // function) and the DeliveryGuard reported for it —
+                    // propagate, matching an in-place compute, instead of
+                    // disguising a crash as a user-initiated cancel.
+                    if !self.token.is_cancelled() {
+                        panic!(
+                            "progxe worker panicked while computing region {} \
+                             (see stderr for the worker's panic message)",
+                            batch.rid
+                        );
+                    }
+                    Self::absorb_partial_batch(&mut self.stats, &batch);
+                    self.stats.cancelled = true;
+                    return Advance::Finished;
+                }
+                committer.commit_batch(batch, &mut self.stats)
+            }
+        };
+        if let Some(event) = event {
             self.ready.push_back(event);
         }
         Advance::Progressed
@@ -1240,9 +1190,11 @@ impl SessionStep for RegionDriver {
         // happened and belongs in the cancelled run's counters. Strictly
         // non-blocking — a still-running worker's stats are forfeited
         // rather than stalling finish() behind the shared pool.
-        for seq in self.inflight.drain(..) {
-            if let Some(batch) = self.queue.try_take(seq) {
-                Self::absorb_partial_batch(&mut stats, &batch);
+        for slot in self.inflight.drain(..) {
+            if let Slot::Batch(seq) = slot {
+                if let Some(batch) = self.queue.try_take(seq) {
+                    Self::absorb_partial_batch(&mut stats, &batch);
+                }
             }
         }
         if let Some(committer) = self.committer.take() {
@@ -1302,8 +1254,15 @@ mod tests {
 
     /// A minimal spawner: one OS thread per job. Exercises the pooled
     /// code path without depending on the runtime crate.
+    #[derive(Debug)]
     struct ThreadPerTask;
     impl TaskSpawner for ThreadPerTask {
+        fn threads(&self) -> usize {
+            3
+        }
+        fn pin(self: Arc<Self>) -> Arc<dyn TaskSpawner> {
+            self
+        }
         fn spawn_task(&self, job: Box<dyn FnOnce() + Send + 'static>) -> Result<(), SpawnError> {
             std::thread::spawn(job);
             Ok(())
@@ -1315,22 +1274,23 @@ mod tests {
         r: &SourceData,
         t: &SourceData,
         maps: &MapSet,
-        backend: ExecutorBackend,
-    ) -> Vec<(u32, u32)> {
+        spawner: Option<Arc<dyn TaskSpawner>>,
+    ) -> (Vec<(u32, u32)>, ExecStats) {
         let token = CancellationToken::new();
         let prep = ProgXe::new(config.clone())
             .prepare(&r.view(), &t.view(), maps, token.clone())
             .unwrap();
-        let driver = RegionDriver::new(prep, token.clone(), backend, config.prefilter_min_pairs);
+        let driver = RegionDriver::new(prep, token.clone(), spawner, config.prefilter_min_pairs);
         let mut session = QuerySession::stepped("test", token, Box::new(driver));
         let mut ids = Vec::new();
         while let Some(event) = session.next_batch() {
             assert!(event.proven_final);
             ids.extend(event.tuples.iter().map(|x| (x.r_idx, x.t_idx)));
         }
-        assert!(!session.finish().cancelled);
+        let stats = session.finish();
+        assert!(!stats.cancelled);
         ids.sort_unstable();
-        ids
+        (ids, stats)
     }
 
     #[test]
@@ -1341,8 +1301,8 @@ mod tests {
         let streaming = ProgXeConfig::default().with_prefilter_min_pairs(usize::MAX);
         let batch = ProgXeConfig::default().with_prefilter_min_pairs(0);
         assert_eq!(
-            drive(&streaming, &r, &t, &maps, ExecutorBackend::Inline),
-            drive(&batch, &r, &t, &maps, ExecutorBackend::Inline),
+            drive(&streaming, &r, &t, &maps, None).0,
+            drive(&batch, &r, &t, &maps, None).0,
         );
     }
 
@@ -1351,20 +1311,13 @@ mod tests {
         let r = random_source(180, 2, 5, 3);
         let t = random_source(180, 2, 5, 4);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-        let config = ProgXeConfig::default();
-        let inline = drive(&config, &r, &t, &maps, ExecutorBackend::Inline);
-        let pooled = drive(
-            &config,
-            &r,
-            &t,
-            &maps,
-            ExecutorBackend::Pooled {
-                spawner: Arc::new(ThreadPerTask),
-                threads: 3,
-            },
-        );
-        assert!(!inline.is_empty());
-        assert_eq!(inline, pooled);
+        for gate in [0, 2_000, usize::MAX] {
+            let config = ProgXeConfig::default().with_prefilter_min_pairs(gate);
+            let (inline, _) = drive(&config, &r, &t, &maps, None);
+            let (pooled, _) = drive(&config, &r, &t, &maps, Some(Arc::new(ThreadPerTask)));
+            assert!(!inline.is_empty());
+            assert_eq!(inline, pooled, "gate {gate}");
+        }
     }
 
     #[test]
@@ -1375,19 +1328,7 @@ mod tests {
         let t = random_source(300, 2, 2, 6);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let config = ProgXeConfig::default().with_prefilter_min_pairs(0);
-        let token = CancellationToken::new();
-        let prep = ProgXe::new(config.clone())
-            .prepare(&r.view(), &t.view(), &maps, token.clone())
-            .unwrap();
-        let driver = RegionDriver::new(
-            prep,
-            token.clone(),
-            ExecutorBackend::Inline,
-            config.prefilter_min_pairs,
-        );
-        let mut session = QuerySession::stepped("test", token, Box::new(driver));
-        while session.next_batch().is_some() {}
-        let stats = session.finish();
+        let (_, stats) = drive(&config, &r, &t, &maps, None);
         assert!(
             stats.tuples_prefiltered > 0,
             "local pre-filter should prune on dense regions"

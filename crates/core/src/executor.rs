@@ -18,11 +18,10 @@
 //! grid construction, the output-space look-ahead, and the region schedule
 //! — everything [`ProgXe::prepare`] produces. The region loop itself —
 //! schedule pop, tuple-level phase, ordered commit — lives exactly once in
-//! [`crate::driver`]: the sequential path is the
-//! [`Inline`](crate::driver::ExecutorBackend::Inline) instantiation of
-//! [`crate::driver::RegionDriver`], and the `progxe-runtime`
-//! crate supplies the [`Pooled`](crate::driver::ExecutorBackend::Pooled)
-//! backend for `threads > 1`.
+//! [`crate::driver::RegionDriver`]. [`ProgXe`] is the one engine type: its
+//! only backend choice is whether it holds a
+//! [`TaskSpawner`] (the `progxe-runtime` crate's shared pool) to run
+//! large regions on worker threads.
 //!
 //! The executor is deterministic given its configuration: grid construction,
 //! region ids, EL-graph tie-breaks, and the `Random` ordering's shuffle are
@@ -31,7 +30,7 @@
 use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
 use crate::cost::CostModel;
-use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver};
+use crate::driver::{CommitterParts, RegionDriver, TaskSpawner};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
 use crate::grid::InputGrid;
@@ -53,12 +52,18 @@ use std::time::Instant;
 pub use crate::driver::Committer;
 
 /// The progressive SkyMapJoin executor.
+///
+/// Cloning shares the spawner: clones and their sessions all use the same
+/// worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct ProgXe {
     config: ProgXeConfig,
     /// Optional trace sink. `None` (the default) costs one branch per
     /// instrumentation site; see [`ProgXe::with_recorder`].
     recorder: Option<Arc<dyn Recorder>>,
+    /// Runs regions at or above the pre-filter gate on worker threads;
+    /// `None` computes every region on the session's thread.
+    spawner: Option<Arc<dyn TaskSpawner>>,
 }
 
 /// Collected output of [`ProgXe::run_collect`], [`QuerySession::collect`],
@@ -80,7 +85,7 @@ pub struct Prepared {
     /// (empty input, or cancelled during setup).
     pub committer: Option<Committer>,
     /// The shared tuple-level work context (regions, grids, filtered
-    /// sources), present exactly when `committer` is. Backends call
+    /// sources), present exactly when `committer` is. Drivers call
     /// [`RegionCtx::compute`]/`process_into` on it; the committer itself
     /// only keeps the region metadata.
     pub ctx: Option<Arc<RegionCtx>>,
@@ -91,30 +96,36 @@ pub struct Prepared {
 }
 
 impl ProgXe {
-    /// Creates an executor with the given configuration.
+    /// Creates an executor with the given configuration. Without a
+    /// [spawner](Self::with_spawner) every region runs on the session's
+    /// thread.
     #[must_use]
     pub fn new(config: ProgXeConfig) -> Self {
         Self {
             config,
             recorder: None,
+            spawner: None,
         }
     }
 
-    /// Attaches a trace recorder: every session opened by this executor
-    /// emits span/point/counter events into it (see the `progxe-obs`
-    /// crate's taxonomy). Keep a clone of the `Arc` to drain the events.
+    /// Attaches a trace recorder (`None` leaves tracing off, the zero-cost
+    /// default): every session opened by this executor emits
+    /// span/point/counter events into it (see the `progxe-obs` crate's
+    /// taxonomy). Keep a clone of the `Arc` to drain the events.
     #[must_use]
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
+    pub fn with_recorder(mut self, recorder: Option<Arc<dyn Recorder>>) -> Self {
+        self.recorder = recorder;
         self
     }
 
-    /// [`with_recorder`](Self::with_recorder) accepting an optional sink —
-    /// convenient when the caller itself was configured with an
-    /// `Option<Arc<dyn Recorder>>`.
+    /// Runs regions whose join-pair bound reaches
+    /// [`ProgXeConfig::prefilter_min_pairs`] on `spawner`'s worker threads
+    /// (`None`: on the session's thread), with ordered progressive commit.
+    /// The emitted results are the same either way; sessions report the
+    /// spawner's worker count as [`ExecStats::threads_used`].
     #[must_use]
-    pub fn with_recorder_opt(mut self, recorder: Option<Arc<dyn Recorder>>) -> Self {
-        self.recorder = recorder;
+    pub fn with_spawner(mut self, spawner: Option<Arc<dyn TaskSpawner>>) -> Self {
+        self.spawner = spawner;
         self
     }
 
@@ -145,11 +156,14 @@ impl ProgXe {
         maps: &'a MapSet,
         token: CancellationToken,
     ) -> Result<QuerySession<'a>> {
-        let prep = self.prepare(r, t, maps, token.clone())?;
+        let mut prep = self.prepare(r, t, maps, token.clone())?;
+        if let Some(spawner) = &self.spawner {
+            prep.stats.threads_used = spawner.threads();
+        }
         let driver = RegionDriver::new(
             prep,
             token.clone(),
-            ExecutorBackend::Inline,
+            self.spawner.clone(),
             self.config.prefilter_min_pairs,
         );
         Ok(QuerySession::stepped("progxe", token, Box::new(driver)))
@@ -205,9 +219,9 @@ impl ProgXe {
     /// loop. The cancellation token is checked between phases so a session
     /// cancelled during setup stops before tuple-level work.
     ///
-    /// This is the shared entry point of every backend: the inline session
-    /// *and* the `progxe-runtime` pooled driver receive the same
-    /// [`Committer`] and differ only in who computes the region batches.
+    /// Sessions build their [`RegionDriver`] over the result; external
+    /// drivers (e.g. a benchmark replaying the region loop layer by layer)
+    /// can drive the [`Committer`] and [`RegionCtx`] directly.
     pub fn prepare(
         &self,
         r: &SourceView<'_>,

@@ -26,7 +26,12 @@
 //!   Stalling preserves ProgOrder's pop order exactly, so the commit
 //!   sequence — and with it Algorithm 2's blocker bookkeeping and the
 //!   emitted result stream — is **bit-identical** to the all-at-once run,
-//!   for every arrival schedule, on both the Inline and Pooled backends.
+//!   for every arrival schedule.
+//! * Ingestion runs on the caller's thread and never uses a worker pool:
+//!   a readiness-gated schedule can only dispatch the one region at the
+//!   commit frontier (popping ahead would make the commit order depend on
+//!   arrival timing), and `push`/`poll` both take `&mut self`, so a pool
+//!   would only add a thread hop to a serial loop.
 //!
 //! ## Why emission stays safe and schedule-independent
 //!
@@ -45,7 +50,7 @@
 use crate::cells::CellStore;
 use crate::config::{ProgXeConfig, SignatureConfig};
 use crate::cost::CostModel;
-use crate::driver::{Committer, CommitterParts, DriverPoll, ExecutorBackend, RegionDriver, RowIds};
+use crate::driver::{Committer, CommitterParts, DriverPoll, RegionDriver, RowIds};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
 use crate::grid::{GridGeometry, InputPartition};
@@ -57,7 +62,7 @@ use crate::session::{CancellationToken, ResultEvent};
 use crate::signature::JoinSignature;
 use crate::source::SourceView;
 use crate::stats::ExecStats;
-use crate::tuple_level::{join_region, local_skyline_filter, RegionBatch, TupleLevelStats};
+use crate::tuple_level::{join_region, TupleLevelStats};
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
 use std::sync::{Arc, Mutex};
@@ -595,9 +600,7 @@ impl IngestInner {
 }
 
 /// The compute-side context of a streaming session: regions plus the
-/// shared ingest state. `Send + Sync`; pooled work units capture it in an
-/// `Arc` exactly like the batch pipeline's
-/// [`RegionCtx`](crate::tuple_level::RegionCtx).
+/// shared ingest state the session's pushes fill.
 pub struct IngestCtx {
     maps: MapSet,
     regions: Arc<[Region]>,
@@ -609,11 +612,6 @@ impl IngestCtx {
     /// readiness gate.
     pub fn is_ready(&self, rid: u32) -> bool {
         self.inner.lock().expect("ingest state poisoned").ready[rid as usize]
-    }
-
-    /// Output dimensionality of the query.
-    pub fn out_dims(&self) -> usize {
-        self.maps.out_dims()
     }
 
     /// The two sealed partitions of a ready region. Holds the state lock
@@ -653,53 +651,19 @@ impl IngestCtx {
             },
         )
     }
-
-    /// Batch path (pool workers): join + map + orient + bounded local
-    /// skyline pre-filter, ids already translated to caller row ids.
-    pub(crate) fn compute(&self, rid: u32, token: &CancellationToken) -> RegionBatch {
-        let started = Instant::now();
-        let (rp, tp) = self.sealed_pair(rid);
-        let mut ids: Vec<(u32, u32)> = Vec::new();
-        let mut points = PointStore::new(self.maps.out_dims());
-        let (mut stats, completed) = join_region(
-            &rp.part,
-            &tp.part,
-            &rp.view(),
-            &tp.view(),
-            &self.maps,
-            token,
-            |r, t, o| {
-                ids.push((rp.rows[r as usize], tp.rows[t as usize]));
-                points.push(o);
-            },
-        );
-        if completed {
-            local_skyline_filter(&mut ids, &mut points, self.maps.dominance(), &mut stats);
-        }
-        RegionBatch {
-            rid,
-            ids,
-            points,
-            stats,
-            completed,
-            compute_time: started.elapsed(),
-        }
-    }
 }
 
 /// A progressive query over two incrementally arriving sources.
 ///
-/// Obtain one from [`IngestSession::open`] (Inline backend) or
-/// [`IngestSession::open_with_backend`] (e.g. the runtime crate's pooled
-/// backend). Feed it with [`push`](Self::push) /
+/// Obtain one from [`IngestSession::open`] (or
+/// [`IngestSession::open_observed`] to attach a trace recorder). Feed it with [`push`](Self::push) /
 /// [`set_watermark`](Self::set_watermark) / [`close`](Self::close), and
 /// interleave [`poll`](Self::poll) calls to drain proven-final result
 /// batches as regions unlock. Emitted `r_idx`/`t_idx` are the caller's row
 /// ids.
 ///
 /// Dropping the session — with or without calling `finish` — fires its
-/// [`CancellationToken`], so in-flight pooled workers stop even when the
-/// session is simply abandoned (same contract as
+/// [`CancellationToken`] (same contract as
 /// [`QuerySession`](crate::session::QuerySession)).
 #[must_use = "an ingest session does no work until it is polled"]
 pub struct IngestSession {
@@ -715,38 +679,17 @@ pub struct IngestSession {
 }
 
 impl IngestSession {
-    /// Opens an inline (single-threaded) streaming session.
+    /// Opens a streaming session.
     pub fn open(
         config: &ProgXeConfig,
         maps: &MapSet,
         r_spec: StreamSpec,
         t_spec: StreamSpec,
     ) -> Result<IngestSession> {
-        Self::open_with_backend(
-            config,
-            maps,
-            r_spec,
-            t_spec,
-            ExecutorBackend::Inline,
-            CancellationToken::new(),
-        )
+        Self::open_observed(config, maps, r_spec, t_spec, None)
     }
 
-    /// Opens a streaming session on an explicit executor backend with a
-    /// caller-provided cancellation token. The `progxe-runtime` crate uses
-    /// this to run ingestion over its shared thread pool.
-    pub fn open_with_backend(
-        config: &ProgXeConfig,
-        maps: &MapSet,
-        r_spec: StreamSpec,
-        t_spec: StreamSpec,
-        backend: ExecutorBackend,
-        token: CancellationToken,
-    ) -> Result<IngestSession> {
-        Self::open_observed(config, maps, r_spec, t_spec, backend, token, None)
-    }
-
-    /// Like [`IngestSession::open_with_backend`], but attaches a
+    /// Like [`IngestSession::open`], but attaching an optional
     /// [`Recorder`] so the session emits trace events: `lookahead` /
     /// `ingest_batch` spans, `seal` / `stall` points, and the driver-side
     /// span taxonomy shared with materialized execution.
@@ -755,8 +698,6 @@ impl IngestSession {
         maps: &MapSet,
         r_spec: StreamSpec,
         t_spec: StreamSpec,
-        backend: ExecutorBackend,
-        token: CancellationToken,
         recorder: Option<Arc<dyn Recorder>>,
     ) -> Result<IngestSession> {
         config.validate()?;
@@ -856,10 +797,7 @@ impl IngestSession {
         let det = ProgDetermine::new(&store, &regions);
 
         let mut stats = ExecStats {
-            threads_used: match &backend {
-                ExecutorBackend::Inline => 1,
-                ExecutorBackend::Pooled { threads, .. } => *threads,
-            },
+            threads_used: 1,
             regions_created: regions.len(),
             cells_tracked: store.len(),
             partitions_r: r_cells,
@@ -908,8 +846,8 @@ impl IngestSession {
             regions,
             inner: Arc::clone(&inner),
         });
-        let driver =
-            RegionDriver::for_ingest(committer, ctx, stats, started, token.clone(), backend);
+        let token = CancellationToken::new();
+        let driver = RegionDriver::for_ingest(committer, ctx, stats, started, token.clone());
         Ok(IngestSession {
             driver,
             inner,
@@ -1036,9 +974,8 @@ impl IngestSession {
     }
 
     /// Requests cancellation: `poll` returns [`IngestPoll::Complete`] from
-    /// then on, remaining regions are skipped, and in-flight pool workers
-    /// stop at their next token check. Safe at any time — including on a
-    /// session whose sources were never closed.
+    /// then on and remaining regions are skipped. Safe at any time —
+    /// including on a session whose sources were never closed.
     pub fn cancel(&mut self) {
         self.token.cancel();
     }
@@ -1084,12 +1021,6 @@ impl std::fmt::Debug for IngestSession {
             .finish_non_exhaustive()
     }
 }
-
-// Compile-time guarantee that pooled ingest work units can cross threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<IngestCtx>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -26,8 +26,8 @@
 //!
 //! The [`executor`] module builds the pipeline front end behind the public
 //! entry point [`ProgXe`]; the [`driver`] module owns the single region
-//! loop ([`driver::RegionDriver`]) that every backend — inline or pooled —
-//! executes. Results are consumed either by pulling a streaming
+//! loop ([`driver::RegionDriver`]) that every run executes, with or without
+//! worker threads. Results are consumed either by pulling a streaming
 //! [`session::QuerySession`] (incremental batches, cancellation, `take(k)`
 //! early termination) or by pushing into a [`sink::ResultSink`] — the sink
 //! path is a thin adapter over the stream. Sources that *arrive*
@@ -81,7 +81,7 @@ pub mod stats;
 pub mod tuple_level;
 
 pub use config::{OrderingPolicy, ProgXeConfig, SignatureConfig};
-pub use driver::{Committer, DriverPoll, ExecutorBackend, Popped, RegionDriver, TaskSpawner};
+pub use driver::{Committer, DriverPoll, Popped, RegionDriver, TaskSpawner};
 pub use error::{Error, Result};
 pub use executor::{ProgXe, RunOutput};
 pub use fdom::{DominanceModel, FDominance, FdomError, QueryDominance, WeightConstraint};

@@ -231,7 +231,7 @@ pub struct QuerySession<'a> {
 
 impl<'a> QuerySession<'a> {
     /// Wraps a [`SessionStep`] implementation (the core
-    /// [`RegionDriver`](crate::driver::RegionDriver) on either backend, or
+    /// [`RegionDriver`](crate::driver::RegionDriver), or
     /// any external stepper) together with the cancellation token it
     /// watches. The token must be shared with the stepper: `cancel` relies
     /// on it.

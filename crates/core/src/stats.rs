@@ -103,9 +103,10 @@ pub struct ExecStats {
     /// Admitted tuples later evicted by dominating arrivals.
     pub tuples_evicted: u64,
     /// Tuples dropped by the bounded local skyline pre-filter before ever
-    /// reaching the cell store (batch path only: pool workers always, the
-    /// `Inline` backend when the region's join-pair bound is at or above
-    /// [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
+    /// reaching the cell store (batch path only: regions whose join-pair
+    /// bound is at or above
+    /// [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig),
+    /// with or without a worker pool).
     pub tuples_prefiltered: u64,
     /// Populated comparable cells examined across insertions (Section
     /// III-B's `k^d − (k−1)^d` bound, measured).

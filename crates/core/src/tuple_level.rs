@@ -4,10 +4,10 @@
 //! tuples of `I^R_a` and `I^T_b` (hash join on the smaller side), apply the
 //! mapping functions to each match, orient the output, and hand every mapped
 //! tuple to a consumer — either the shared [`CellStore`] (streaming path,
-//! [`process_region`]; small regions on the driver's `Inline` backend) or a
-//! private batch buffer ([`RegionCtx::compute`]; pool workers always, and
-//! large inline regions per
-//! [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
+//! [`process_region`]; regions below the driver's pre-filter gate) or a
+//! private batch buffer ([`RegionCtx::compute`]; regions at or above
+//! [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig), on a
+//! pool worker or in place).
 //!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work

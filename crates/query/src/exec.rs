@@ -12,14 +12,14 @@ use crate::parser::{parse_query, ParseError};
 use crate::plan::{plan, plan_streaming, PlanError, PlannedQuery, SideFilter};
 use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::ProgXeConfig;
-use progxe_core::driver::ExecutorBackend;
+use progxe_core::driver::TaskSpawner;
 use progxe_core::executor::ProgXe;
 use progxe_core::ingest::{IngestError, IngestPoll, IngestSession, SourceId, StreamSpec};
-use progxe_core::session::{CancellationToken, ProgressiveEngine, QuerySession};
+use progxe_core::session::{ProgressiveEngine, QuerySession};
 use progxe_core::sink::ResultSink;
 use progxe_core::stats::{ExecStats, ResultTuple};
 use progxe_obs::Recorder;
-use progxe_runtime::{EngineRuntime, ParallelProgXe};
+use progxe_runtime::EngineRuntime;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,18 +30,18 @@ pub enum Engine {
     /// [`Engine::progxe`]/[`Engine::progxe_with`]/[`Engine::progxe_threads`],
     /// which size the runtime to `config.threads`; the variant is
     /// `#[non_exhaustive]` so external code cannot *construct* a
-    /// mismatched pairing. For pooled sessions the runtime's worker count
-    /// is authoritative (it sizes the pool, the dispatch window, and
-    /// `threads_used`) — mutating `config.threads` on an existing engine
-    /// does not resize an already-shared pool.
+    /// mismatched pairing. The runtime's worker count is authoritative: it
+    /// alone decides whether sessions use the pool (more than one worker)
+    /// and sizes the pool, the dispatch window, and `threads_used` —
+    /// mutating `config.threads` on an existing engine changes none of it.
     #[non_exhaustive]
     ProgXe {
-        /// Executor configuration; `threads > 1` routes through the
-        /// parallel runtime.
+        /// Executor configuration.
         config: Box<ProgXeConfig>,
         /// The engine's long-lived execution runtime: one lazily-spawned
         /// thread pool shared by every session this `Engine` (and every
-        /// clone of it) opens. Never spawned while `threads == 1`.
+        /// clone of it) opens. Never spawned with one worker, nor by a run
+        /// whose regions all stay under the pre-filter gate.
         runtime: Arc<EngineRuntime>,
         /// Optional trace recorder attached via [`Engine::with_recorder`]:
         /// every session (batch or streaming) this engine opens emits its
@@ -69,9 +69,8 @@ impl Engine {
     }
 
     /// ProgXe with a custom configuration. A `threads` value above 1
-    /// routes execution through the parallel runtime (see
-    /// [`Engine::build`]); all sessions of this `Engine` value share one
-    /// lazily-spawned worker pool.
+    /// gives batch sessions a worker pool (see [`Engine::build`]); all
+    /// sessions of this `Engine` value share one lazily-spawned pool.
     #[must_use]
     pub fn progxe_with(config: ProgXeConfig) -> Self {
         let runtime = Arc::new(EngineRuntime::new(config.threads.get()));
@@ -155,12 +154,12 @@ impl Engine {
     /// the single construction point: everything downstream — sessions,
     /// sinks, the bench harness — talks to [`ProgressiveEngine`] only.
     ///
-    /// A ProgXe configuration with `threads > 1` builds the parallel
-    /// engine ([`ParallelProgXe`]) *borrowing this `Engine`'s shared
-    /// [`EngineRuntime`]* — repeated `build()` calls (one per session in
-    /// [`QueryRunner::session`]) keep reusing the same worker pool. The
-    /// session contract (`next_batch` / `take(k)` / cancellation,
-    /// proven-final batches) is identical either way.
+    /// A ProgXe engine whose runtime has more than one worker gets that
+    /// *shared* [`EngineRuntime`] as its spawner — repeated `build()` calls
+    /// (one per session in [`QueryRunner::session`]) keep reusing the same
+    /// worker pool. The session contract (`next_batch` / `take(k)` /
+    /// cancellation, proven-final batches) and the results are identical
+    /// either way.
     #[must_use]
     pub fn build(&self) -> Box<dyn ProgressiveEngine> {
         match self {
@@ -168,13 +167,15 @@ impl Engine {
                 config,
                 runtime,
                 recorder,
-            } if config.threads.get() > 1 => Box::new(
-                ParallelProgXe::with_runtime((**config).clone(), Arc::clone(runtime))
-                    .with_recorder_opt(recorder.clone()),
-            ),
-            Engine::ProgXe {
-                config, recorder, ..
-            } => Box::new(ProgXe::new((**config).clone()).with_recorder_opt(recorder.clone())),
+            } => {
+                let spawner =
+                    (runtime.threads() > 1).then(|| Arc::clone(runtime) as Arc<dyn TaskSpawner>);
+                Box::new(
+                    ProgXe::new((**config).clone())
+                        .with_spawner(spawner)
+                        .with_recorder(recorder.clone()),
+                )
+            }
             Engine::JfSl(algo) => Box::new(JfSlEngine::new(*algo)),
             Engine::JfSlPlus(algo) => Box::new(JfSlEngine::plus(*algo)),
             Engine::Ssmj(algo) => Box::new(SsmjEngine::new(*algo)),
@@ -449,15 +450,14 @@ impl QueryRunner {
     /// cannot produce anything before their inputs complete, which is the
     /// exact failure mode streaming ingestion exists to avoid).
     ///
-    /// `threads > 1` on the engine routes region compute through its
-    /// shared worker pool; results are identical to the inline backend.
+    /// Ingestion always runs on the caller's thread, whatever the engine's
+    /// worker count: the readiness-gated schedule is serial, so the pool
+    /// would only add a thread hop (see `progxe_core::ingest`).
     pub fn ingest_session(&self, sql: &str, engine: &Engine) -> Result<StreamingQuery, QueryError> {
         let query = parse_query(sql)?;
         let streaming = plan_streaming(&query, &self.catalog)?;
         let Engine::ProgXe {
-            config,
-            runtime,
-            recorder,
+            config, recorder, ..
         } = engine
         else {
             return Err(QueryError::Unsupported(
@@ -467,23 +467,13 @@ impl QueryRunner {
         let r_spec = StreamSpec::new(streaming.r.lo.clone(), streaming.r.hi.clone())?;
         let t_spec = StreamSpec::new(streaming.t.lo.clone(), streaming.t.hi.clone())?;
         let dims = [r_spec.dims(), t_spec.dims()];
-        // Pooled-backend construction lives in one place: the runtime
-        // crate's engine (same dispatch shape as `Engine::build`).
-        let session = if config.threads.get() > 1 {
-            ParallelProgXe::with_runtime((**config).clone(), Arc::clone(runtime))
-                .with_recorder_opt(recorder.clone())
-                .open_ingest(&streaming.compiled.maps, r_spec, t_spec)?
-        } else {
-            IngestSession::open_observed(
-                config,
-                &streaming.compiled.maps,
-                r_spec,
-                t_spec,
-                ExecutorBackend::Inline,
-                CancellationToken::new(),
-                recorder.clone(),
-            )?
-        };
+        let session = IngestSession::open_observed(
+            config,
+            &streaming.compiled.maps,
+            r_spec,
+            t_spec,
+            recorder.clone(),
+        )?;
         Ok(StreamingQuery {
             session,
             output_names: streaming.compiled.output_names,
@@ -793,15 +783,43 @@ mod tests {
         assert_eq!(seq_ids, par_ids);
         assert_eq!(par.stats.threads_used, 4);
         assert_eq!(seq.output_names, par.output_names);
-        // Dispatch picks the parallel runtime exactly when threads > 1.
-        assert_eq!(Engine::progxe_threads(4).build().name(), "progxe-mt");
-        assert_eq!(Engine::progxe_threads(1).build().name(), "progxe");
+    }
+
+    #[test]
+    fn the_runtime_alone_decides_pooled_dispatch() {
+        // `config.threads` is read once, to size the runtime; mutating it
+        // afterwards must neither turn a pooled engine inline nor a 1-worker
+        // engine "pooled".
+        let runner = QueryRunner::new(q1_catalog());
+        for (built, mutated) in [(4, 1), (1, 8)] {
+            let mut engine = Engine::progxe_with(
+                ProgXeConfig::default()
+                    .with_threads(built)
+                    .with_prefilter_min_pairs(0),
+            );
+            if let Engine::ProgXe { config, .. } = &mut engine {
+                config.threads = std::num::NonZeroUsize::new(mutated).unwrap();
+            }
+            let runtime = Arc::clone(engine.runtime().unwrap());
+            let out = runner.run_collect(Q1, &engine).unwrap();
+            assert_eq!(
+                out.stats.threads_used,
+                runtime.threads(),
+                "{built}→{mutated}"
+            );
+            assert_eq!(runtime.pools_spawned(), usize::from(built > 1));
+        }
     }
 
     #[test]
     fn one_engine_shares_one_pool_across_sessions() {
         let runner = QueryRunner::new(q1_catalog());
-        let engine = Engine::progxe_threads(3);
+        // Gate 0: every region goes to the pool, however small.
+        let engine = Engine::progxe_with(
+            ProgXeConfig::default()
+                .with_threads(3)
+                .with_prefilter_min_pairs(0),
+        );
         let runtime = engine.runtime().expect("progxe has a runtime").clone();
         assert_eq!(runtime.pools_spawned(), 0, "runtime spawns lazily");
         let a = runner.run_collect(Q1, &engine).unwrap();
@@ -895,8 +913,9 @@ mod tests {
     #[test]
     fn dropping_a_streaming_query_mid_stream_fires_its_token() {
         // Regression companion to the core session tests: the query-layer
-        // wrapper must inherit drop→cancel, on both backends — this is
-        // what lets a serving layer abandon a subscription by dropping it.
+        // wrapper must inherit drop→cancel, whatever the engine's worker
+        // count — this is what lets a serving layer abandon a subscription
+        // by dropping it.
         let mut cat = q1_catalog();
         let sup = cat.table("suppliers").unwrap().schema.clone();
         let tra = cat.table("transporters").unwrap().schema.clone();

@@ -1,8 +1,8 @@
-//! # progxe-runtime — shared execution runtime for parallel ProgXe
+//! # progxe-runtime — shared worker threads for ProgXe
 //!
 //! The paper's output-space look-ahead (§III) decomposes a SkyMapJoin query
 //! into output regions precisely so that tuple-level work is partitionable.
-//! This crate exploits that with three pieces:
+//! This crate supplies the threads for that, in two pieces:
 //!
 //! * [`pool`] — a dependency-free work-stealing thread pool (scoped to
 //!   `std::thread`, `Mutex`, and `Condvar`) whose workers survive
@@ -10,16 +10,17 @@
 //! * [`runtime`] — [`EngineRuntime`], the per-engine lifecycle: one
 //!   lazily-spawned, long-lived pool shared by every session of an engine
 //!   (and by every clone of it), so high-QPS serving pays thread
-//!   spawn/join once per engine instead of once per query;
-//! * [`parallel`] — [`parallel::ParallelProgXe`], a drop-in
-//!   [`ProgressiveEngine`](progxe_core::session::ProgressiveEngine) that
-//!   instantiates the core's unified
-//!   [`RegionDriver`](progxe_core::driver::RegionDriver) on its `Pooled`
-//!   backend. The region loop itself lives in `progxe-core` — this crate
-//!   only provides the [`TaskSpawner`](progxe_core::driver::TaskSpawner)
-//!   implementation and the pool lifecycle.
+//!   spawn/join once per engine instead of once per query.
 //!
-//! The division of labor keeps every progressive-output guarantee intact:
+//! Both implement the core's
+//! [`TaskSpawner`](progxe_core::driver::TaskSpawner). Hand an
+//! `Arc<EngineRuntime>` to
+//! [`ProgXe::with_spawner`](progxe_core::executor::ProgXe::with_spawner)
+//! and the core's one region loop
+//! ([`RegionDriver`](progxe_core::driver::RegionDriver)) runs regions at
+//! or above the pre-filter gate on the pool; smaller regions stream on the
+//! session's thread. The division of labor keeps every progressive-output
+//! guarantee intact:
 //!
 //! * workers only ever touch immutable, owned state
 //!   ([`RegionCtx`](progxe_core::tuple_level::RegionCtx));
@@ -33,7 +34,7 @@
 //!   `take(k)` and timeouts stop in-flight workers mid-region — and vacate
 //!   the shared pool for other sessions' work.
 //!
-//! Thread count comes from
+//! The query layer sizes the runtime from
 //! [`ProgXeConfig::threads`](progxe_core::config::ProgXeConfig) (env
 //! override: `PROGXE_THREADS`, via
 //! [`ProgXeConfig::from_env`](progxe_core::config::ProgXeConfig::from_env)).
@@ -41,10 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod parallel;
 pub mod pool;
 pub mod runtime;
 
-pub use parallel::ParallelProgXe;
 pub use pool::{PoolClosed, ThreadPool};
 pub use runtime::EngineRuntime;

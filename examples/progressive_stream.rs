@@ -13,10 +13,11 @@
 //! ```
 
 use progxe::baselines::{JfSlEngine, SkyAlgo};
+use progxe::core::driver::TaskSpawner;
 use progxe::core::prelude::*;
 use progxe::datagen::{Distribution, WorkloadSpec};
-use progxe::obs::{EventKind, MetricsRegistry, Point, Recorder, RingRecorder};
-use progxe::runtime::ParallelProgXe;
+use progxe::obs::{EventKind, MetricsRegistry, Point, RingRecorder};
+use progxe::runtime::EngineRuntime;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,13 +51,14 @@ fn main() {
     );
     let jfsl = JfSlEngine::new(SkyAlgo::Sfs);
 
-    // The parallel driver honors PROGXE_THREADS; unset, default to 4.
+    // The same engine on a worker pool sized by PROGXE_THREADS (unset: 4).
     let threads = if std::env::var_os("PROGXE_THREADS").is_some() {
         ProgXeConfig::from_env().threads.get()
     } else {
         4
     };
-    let parallel = ParallelProgXe::new(progxe.config().clone().with_threads(threads));
+    let runtime: Arc<dyn TaskSpawner> = Arc::new(EngineRuntime::new(threads));
+    let parallel = progxe.clone().with_spawner(Some(runtime));
 
     // All engines behind the same trait, the same pull loop.
     let (progxe_records, progxe_stats) = drain(progxe.open(&r, &t, &maps).unwrap());
@@ -97,7 +99,7 @@ fn main() {
     );
     println!("\nper-engine stats (ExecStats one-liners):");
     println!("  progxe       {progxe_stats}");
-    println!("  progxe-mt    {parallel_stats}");
+    println!("  progxe x{threads:<4} {parallel_stats}");
     println!("  jf-sl        {jfsl_stats}");
 
     // ── Observability: the same query again, traced live ────────────────
@@ -106,7 +108,7 @@ fn main() {
     // committer's progress-estimate gauge — without touching the results.
     let ring = Arc::new(RingRecorder::new());
     let mut session = ProgXe::new(progxe.config().clone())
-        .with_recorder(ring.clone() as Arc<dyn Recorder>)
+        .with_recorder(Some(ring.clone()))
         .open(&r, &t, &maps)
         .unwrap();
     println!("\nlive trace timeline (ring drained between batches):");

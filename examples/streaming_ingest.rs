@@ -7,15 +7,17 @@
 //! and emits proven-final skyline results while most of the data is still
 //! in flight — a batch engine would have to wait for the last batch.
 //!
+//! Ingestion runs on the caller's thread whatever `PROGXE_THREADS` says:
+//! the readiness-gated schedule is serial, so a worker pool could only add
+//! a thread hop.
+//!
 //! ```text
 //! cargo run --release --example streaming_ingest
-//! PROGXE_THREADS=4 cargo run --release --example streaming_ingest
 //! ```
 
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSpec, Distribution, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 
 fn main() {
     let spec = WorkloadSpec::new(4000, 3, Distribution::Independent, 0.05);
@@ -27,16 +29,8 @@ fn main() {
     let maps = MapSet::pairwise_sum(spec.dims, Preference::all_lowest(spec.dims));
     let bounds = || StreamSpec::new(vec![1.0; spec.dims], vec![100.0; spec.dims]).unwrap();
 
-    let config = ProgXeConfig::from_env();
-    let mut session = if config.threads.get() > 1 {
-        println!("backend: pooled ({} threads)", config.threads);
-        ParallelProgXe::new(config)
-            .open_ingest(&maps, bounds(), bounds())
-            .unwrap()
-    } else {
-        println!("backend: inline");
-        IngestSession::open(&config, &maps, bounds(), bounds()).unwrap()
-    };
+    let mut session =
+        IngestSession::open(&ProgXeConfig::default(), &maps, bounds(), bounds()).unwrap();
 
     // Sorted trickle: ~32 batches per source, watermark after each.
     let arrival = ArrivalSpec::trickle(spec.n_r / 32);

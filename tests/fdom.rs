@@ -1,16 +1,14 @@
 //! Differential suite for the flexible-skyline (F-dominance) workload.
 //!
 //! Contract under test: with a `MapSet` carrying a flexible
-//! [`DominanceModel`], every engine — ProgXe on the Inline backend (all
-//! three tuple-level paths), ProgXe on the Pooled backend, and all four
-//! baselines — produces exactly the brute-force F-skyline of
+//! [`DominanceModel`], every engine — ProgXe inline (all three tuple-level
+//! paths), ProgXe on a worker pool, and all four baselines — produces exactly the brute-force F-skyline of
 //! `tests/common/oracle.rs`; progressive emission stays no-retraction and
 //! run-to-run deterministic; `take(k)` early-stop and mid-region
 //! cancellation behave as under Pareto; and streaming ingestion emits a
 //! bit-identical event stream across sampled arrival schedules, equal to
 //! the all-at-once run. The CI matrix re-runs this file under
-//! `PROGXE_THREADS={1,4}`, which routes the env-built engine through the
-//! sequential and pooled dispatch respectively.
+//! `PROGXE_THREADS={1,4}`, which sizes the env-built engine's runtime.
 
 mod common;
 
@@ -19,7 +17,6 @@ use progxe::core::fdom::DominanceModel;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSpec, Distribution, SmjWorkload, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 use std::collections::BTreeSet;
 
 fn views(w: &SmjWorkload) -> (SourceView<'_>, SourceView<'_>) {
@@ -101,7 +98,8 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                     );
                 }
                 // ProgXe Pooled (shared worker pool).
-                let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+                let pooled = common::pooled(ProgXeConfig::default(), 4)
+                    .0
                     .run_collect(&r, &t, &maps)
                     .unwrap();
                 assert_eq!(
@@ -109,15 +107,14 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                     expected,
                     "{dist:?}/{seed}/{tight}: pooled"
                 );
-                // The env-built engine — the dispatch the CI PROGXE_THREADS
-                // matrix steers between Inline and Pooled.
+                // The env-built engine — its runtime sized by the CI
+                // PROGXE_THREADS matrix.
                 let env_config = ProgXeConfig::from_env();
-                let env_out = if env_config.threads.get() > 1 {
-                    ParallelProgXe::new(env_config).run_collect(&r, &t, &maps)
-                } else {
-                    ProgXe::new(env_config).run_collect(&r, &t, &maps)
-                }
-                .unwrap();
+                let threads = env_config.threads.get();
+                let env_out = common::pooled(env_config, threads)
+                    .0
+                    .run_collect(&r, &t, &maps)
+                    .unwrap();
                 assert_eq!(
                     result_ids(&env_out.results),
                     expected,
@@ -179,14 +176,13 @@ fn fdominance_emission_is_no_retraction_and_deterministic() {
 
     let collect_stream = |pooled: bool| -> Vec<Vec<(u32, u32)>> {
         let mut session = if pooled {
-            ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+            common::pooled(ProgXeConfig::default(), 4)
+                .0
                 .open(&r, &t, &maps)
-                .unwrap()
         } else {
-            ProgXe::new(ProgXeConfig::default())
-                .open(&r, &t, &maps)
-                .unwrap()
-        };
+            ProgXe::new(ProgXeConfig::default()).open(&r, &t, &maps)
+        }
+        .unwrap();
         let mut batches = Vec::new();
         let mut emitted = BTreeSet::new();
         while let Some(event) = session.next_batch() {
@@ -236,14 +232,13 @@ fn fdominance_emission_stream_is_bit_identical_across_backends() {
     let maps = flexible_maps(3, 0.5);
     let collect = |pooled: bool| -> Stream {
         let mut session = if pooled {
-            ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+            common::pooled(ProgXeConfig::default(), 4)
+                .0
                 .open(&r, &t, &maps)
-                .unwrap()
         } else {
-            ProgXe::new(ProgXeConfig::default())
-                .open(&r, &t, &maps)
-                .unwrap()
-        };
+            ProgXe::new(ProgXeConfig::default()).open(&r, &t, &maps)
+        }
+        .unwrap();
         let mut stream = Vec::new();
         while let Some(event) = session.next_batch() {
             stream.push(
@@ -363,9 +358,8 @@ fn mid_region_cancel_stays_prompt_under_fdominance() {
 }
 
 /// Streaming ingestion under F-dominance: the emitted event stream is
-/// bit-identical across sampled arrival schedules and backends, equal to
-/// the all-at-once run, and its result set equals the brute-force
-/// F-oracle.
+/// bit-identical across sampled arrival schedules, equal to the
+/// all-at-once run, and its result set equals the brute-force F-oracle.
 #[test]
 fn streaming_ingest_is_schedule_invariant_under_fdominance() {
     const N: usize = 110;
@@ -375,17 +369,10 @@ fn streaming_ingest_is_schedule_invariant_under_fdominance() {
     type Transcript = Vec<Vec<(u32, u32)>>;
     let run_schedule = |w: &SmjWorkload,
                         r_sched: &progxe::datagen::ArrivalSchedule,
-                        t_sched: &progxe::datagen::ArrivalSchedule,
-                        pooled: bool|
+                        t_sched: &progxe::datagen::ArrivalSchedule|
      -> Transcript {
-        let config = ProgXeConfig::default();
-        let mut session = if pooled {
-            ParallelProgXe::new(config.with_threads(3))
-                .open_ingest(&maps, spec(), spec())
-                .unwrap()
-        } else {
-            IngestSession::open(&config, &maps, spec(), spec()).unwrap()
-        };
+        let mut session =
+            IngestSession::open(&ProgXeConfig::default(), &maps, spec(), spec()).unwrap();
         let mut transcript = Transcript::new();
         let mut seen = BTreeSet::new();
         let mut drain = |session: &mut IngestSession, transcript: &mut Transcript| {
@@ -439,33 +426,26 @@ fn streaming_ingest_is_schedule_invariant_under_fdominance() {
                 watermark: None,
             }],
         };
-        for pooled in [false, true] {
-            let reference = run_schedule(&w, &all(&w.r), &all(&w.t), pooled);
-            let flat: BTreeSet<(u32, u32)> = reference.iter().flatten().copied().collect();
-            assert_eq!(flat, expected, "{dist:?}/pooled={pooled}: vs F-oracle");
+        let reference = run_schedule(&w, &all(&w.r), &all(&w.t));
+        let flat: BTreeSet<(u32, u32)> = reference.iter().flatten().copied().collect();
+        assert_eq!(flat, expected, "{dist:?}: vs F-oracle");
 
-            for (si, sched_spec) in [
-                ArrivalSpec::uniform_shuffle(23, 11),
-                ArrivalSpec::attr_sorted(13),
-                ArrivalSpec::trickle(9),
-                ArrivalSpec::bursty(23, 4, 30),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let mut t_spec = sched_spec.clone();
-                t_spec.seed = sched_spec.seed.wrapping_add(1);
-                let transcript = run_schedule(
-                    &w,
-                    &sched_spec.schedule(&w.r),
-                    &t_spec.schedule(&w.t),
-                    pooled,
-                );
-                assert_eq!(
-                    transcript, reference,
-                    "{dist:?}/pooled={pooled}/schedule {si}: emission diverged"
-                );
-            }
+        for (si, sched_spec) in [
+            ArrivalSpec::uniform_shuffle(23, 11),
+            ArrivalSpec::attr_sorted(13),
+            ArrivalSpec::trickle(9),
+            ArrivalSpec::bursty(23, 4, 30),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut t_spec = sched_spec.clone();
+            t_spec.seed = sched_spec.seed.wrapping_add(1);
+            let transcript = run_schedule(&w, &sched_spec.schedule(&w.r), &t_spec.schedule(&w.t));
+            assert_eq!(
+                transcript, reference,
+                "{dist:?}/schedule {si}: emission diverged"
+            );
         }
     }
 }

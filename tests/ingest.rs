@@ -4,8 +4,9 @@
 //! input — row ids, attributes, join keys — the streaming engine's emitted
 //! event sequence is **identical** for *every* arrival schedule (batch
 //! sizes × row orders × watermark cadences × source interleavings) and
-//! equal to the all-at-once run, on both the Inline and Pooled backends;
-//! and the final result set equals the batch engine's. Along the way every
+//! equal to the all-at-once run, whatever the engine's worker count (ingest
+//! never uses the pool); and the final result set equals the batch
+//! engine's. Along the way every
 //! run re-checks the session invariants: progress estimates clamped to
 //! `[0, 1]` and monotone, every batch proven-final, and no tuple ever
 //! emitted twice (no retraction).
@@ -15,7 +16,8 @@ mod common;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSchedule, ArrivalSpec, Batching, Distribution, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
+use progxe::query::{Engine, QueryRunner};
+use progxe::server::synthetic;
 
 const N: usize = 120;
 const DIMS: usize = 2;
@@ -28,16 +30,9 @@ fn spec() -> StreamSpec {
     StreamSpec::new(vec![0.0; DIMS], vec![101.0; DIMS]).unwrap()
 }
 
-fn open_session(pooled: bool) -> IngestSession {
+fn open_session() -> IngestSession {
     let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    let config = ProgXeConfig::default();
-    if pooled {
-        ParallelProgXe::new(config.with_threads(3))
-            .open_ingest(&maps, spec(), spec())
-            .unwrap()
-    } else {
-        IngestSession::open(&config, &maps, spec(), spec()).unwrap()
-    }
+    IngestSession::open(&ProgXeConfig::default(), &maps, spec(), spec()).unwrap()
 }
 
 /// Drains deliverable events, checking the session invariants as it goes.
@@ -72,9 +67,8 @@ fn run_schedule(
     w: &progxe::datagen::SmjWorkload,
     r_sched: &ArrivalSchedule,
     t_sched: &ArrivalSchedule,
-    pooled: bool,
 ) -> Transcript {
-    let mut session = open_session(pooled);
+    let mut session = open_session();
     let mut transcript = Transcript::new();
     let mut seen = std::collections::HashSet::new();
     let mut progress = 0.0;
@@ -114,14 +108,14 @@ fn run_schedule(
 }
 
 /// The all-at-once oracle: everything pushed in relation order, then close.
-fn oracle(w: &progxe::datagen::SmjWorkload, pooled: bool) -> Transcript {
+fn oracle(w: &progxe::datagen::SmjWorkload) -> Transcript {
     let all = |rel: &progxe::datagen::Relation| ArrivalSchedule {
         batches: vec![progxe::datagen::ArrivalBatch {
             rows: (0..rel.len() as u32).collect(),
             watermark: None,
         }],
     };
-    run_schedule(w, &all(&w.r), &all(&w.t), pooled)
+    run_schedule(w, &all(&w.r), &all(&w.t))
 }
 
 /// The batch engine's result set on the same workload.
@@ -181,20 +175,9 @@ fn schedule_specs(seed: u64) -> Vec<ArrivalSpec> {
 }
 
 /// ≥50 sampled arrival schedules over 3 distributions × 2 seeds, asserting
-/// streaming ≡ all-at-once oracle (result set *and* emission order) on the
-/// Inline backend.
+/// streaming ≡ all-at-once oracle (result set *and* emission order).
 #[test]
 fn arrival_order_fuzz_inline() {
-    arrival_order_fuzz(false);
-}
-
-/// The same grid through the Pooled backend (shared worker pool).
-#[test]
-fn arrival_order_fuzz_pooled() {
-    arrival_order_fuzz(true);
-}
-
-fn arrival_order_fuzz(pooled: bool) {
     let mut schedules_run = 0usize;
     for dist in [
         Distribution::Independent,
@@ -205,7 +188,7 @@ fn arrival_order_fuzz(pooled: bool) {
             let w = WorkloadSpec::new(N, DIMS, dist, 0.1)
                 .with_seed(seed)
                 .generate();
-            let reference = oracle(&w, pooled);
+            let reference = oracle(&w);
             assert!(
                 reference.iter().map(|b| b.len()).sum::<usize>() > 0,
                 "workload produced no results — fuzz would be vacuous"
@@ -224,7 +207,7 @@ fn arrival_order_fuzz(pooled: bool) {
                 t_spec.seed = spec.seed.wrapping_add(1);
                 let r_sched = spec.schedule(&w.r);
                 let t_sched = t_spec.schedule(&w.t);
-                let transcript = run_schedule(&w, &r_sched, &t_sched, pooled);
+                let transcript = run_schedule(&w, &r_sched, &t_sched);
                 assert_eq!(
                     transcript, reference,
                     "{dist:?}/seed {seed}/schedule {si}: emission diverged from all-at-once"
@@ -240,27 +223,100 @@ fn arrival_order_fuzz(pooled: bool) {
 }
 
 /// `cancel()` during ingestion on a never-closed source stops cleanly —
-/// no deadlock, stats flagged cancelled — on both backends.
+/// no deadlock, stats flagged cancelled.
 #[test]
 fn cancel_during_ingestion_never_deadlocks() {
-    for pooled in [false, true] {
-        let w = WorkloadSpec::new(N, DIMS, Distribution::Independent, 0.1)
-            .with_seed(5)
-            .generate();
-        let mut session = open_session(pooled);
-        let rows: Vec<(u32, &[f64], u32)> = (0..N / 2)
-            .map(|i| (i as u32, w.r.attrs_of(i), w.r.join_key_of(i)))
-            .collect();
-        session.push_with_ids(SourceId::R, &rows).unwrap();
-        // T never receives anything and neither source ever closes.
-        assert!(matches!(session.poll(), IngestPoll::NeedInput));
-        session.cancel();
-        assert!(matches!(session.poll(), IngestPoll::Complete));
-        let stats = session.finish();
-        assert!(stats.cancelled, "pooled={pooled}");
-        assert!(stats.regions_skipped > 0);
-        assert_eq!(stats.results_emitted, 0);
-    }
+    let w = WorkloadSpec::new(N, DIMS, Distribution::Independent, 0.1)
+        .with_seed(5)
+        .generate();
+    let mut session = open_session();
+    let rows: Vec<(u32, &[f64], u32)> = (0..N / 2)
+        .map(|i| (i as u32, w.r.attrs_of(i), w.r.join_key_of(i)))
+        .collect();
+    session.push_with_ids(SourceId::R, &rows).unwrap();
+    // T never receives anything and neither source ever closes.
+    assert!(matches!(session.poll(), IngestPoll::NeedInput));
+    session.cancel();
+    assert!(matches!(session.poll(), IngestPoll::Complete));
+    let stats = session.finish();
+    assert!(stats.cancelled);
+    assert!(stats.regions_skipped > 0);
+    assert_eq!(stats.results_emitted, 0);
+}
+
+/// A query-layer engine with more than one worker still ingests on the
+/// caller's thread: its pool never spawns, and the emission transcript —
+/// batch boundaries, tuple order inside batches, and values — is
+/// bit-identical to the one-worker engine's on an attribute-sorted,
+/// watermarked arrival schedule.
+#[test]
+fn threaded_engine_ingests_inline() {
+    type Values = Vec<(u32, u32, Vec<u64>)>;
+    let rows = 300;
+    let runner = QueryRunner::new(synthetic::streaming_catalog(rows, DIMS, 3));
+    let sql = synthetic::query_sql(DIMS);
+    let w = WorkloadSpec::new(rows, DIMS, Distribution::AntiCorrelated, 0.5)
+        .with_seed(8)
+        .generate();
+    let spec = ArrivalSpec::attr_sorted(25);
+    let (r_sched, t_sched) = (spec.schedule(&w.r), spec.schedule(&w.t));
+    let run = |engine: &Engine| -> Vec<Values> {
+        let mut q = runner.ingest_session(&sql, engine).unwrap();
+        let mut transcript = Vec::new();
+        let mut drain = |q: &mut progxe::query::StreamingQuery| {
+            for event in q.drain_ready() {
+                transcript.push(
+                    event
+                        .tuples
+                        .iter()
+                        .map(|t| {
+                            let bits = t.values.iter().map(|v| v.to_bits()).collect();
+                            (t.r_idx, t.t_idx, bits)
+                        })
+                        .collect(),
+                );
+            }
+        };
+        for i in 0..r_sched.batches.len().max(t_sched.batches.len()) {
+            for (side, rel, sched) in [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
+            {
+                let Some(batch) = sched.batches.get(i) else {
+                    continue;
+                };
+                let rows: Vec<(&[f64], u32)> = batch
+                    .rows
+                    .iter()
+                    .map(|&row| (rel.attrs_of(row as usize), rel.join_key_of(row as usize)))
+                    .collect();
+                q.push(side, &rows).unwrap();
+                if let Some(wm) = &batch.watermark {
+                    q.set_watermark(side, wm).unwrap();
+                }
+                drain(&mut q);
+            }
+        }
+        q.close(SourceId::R);
+        q.close(SourceId::T);
+        drain(&mut q);
+        let stats = q.finish();
+        assert!(!stats.cancelled);
+        assert_eq!(stats.threads_used, 1, "ingest runs on the caller's thread");
+        transcript
+    };
+    let inline = run(&Engine::progxe_threads(1));
+    assert!(
+        inline.len() > 1 && inline.iter().any(|b| !b.is_empty()),
+        "the schedule must emit more than one batch"
+    );
+    let threaded = Engine::progxe_threads(3);
+    assert_eq!(
+        run(&threaded),
+        inline,
+        "threaded engine diverged from inline"
+    );
+    let runtime = threaded.runtime().unwrap();
+    assert!(!runtime.is_running(), "ingest must never spawn the pool");
+    assert_eq!(runtime.pools_spawned(), 0);
 }
 
 /// Early results taken mid-ingest are a strict prefix of the full run
@@ -279,12 +335,12 @@ fn take_k_style_early_stop_mid_ingest() {
     let full = {
         let r = spec_r.schedule(&w.r);
         let t = spec_r.schedule(&w.t);
-        run_schedule(&w, &r, &t, false)
+        run_schedule(&w, &r, &t)
     };
     let full_flat: Vec<(u32, u32)> = full.iter().flatten().copied().collect();
     assert!(full_flat.len() >= 3, "workload too small for the test");
 
-    let mut session = open_session(false);
+    let mut session = open_session();
     let r_sched = spec_r.schedule(&w.r);
     let t_sched = spec_r.schedule(&w.t);
     let k = 2;
@@ -345,16 +401,15 @@ fn boundary_spec() -> StreamSpec {
     StreamSpec::new(vec![0.0; DIMS], vec![90.0; DIMS]).unwrap()
 }
 
-fn open_boundary_session(pooled: bool) -> IngestSession {
+fn open_boundary_session() -> IngestSession {
     let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    let config = ProgXeConfig::default();
-    if pooled {
-        ParallelProgXe::new(config.with_threads(3))
-            .open_ingest(&maps, boundary_spec(), boundary_spec())
-            .unwrap()
-    } else {
-        IngestSession::open(&config, &maps, boundary_spec(), boundary_spec()).unwrap()
-    }
+    IngestSession::open(
+        &ProgXeConfig::default(),
+        &maps,
+        boundary_spec(),
+        boundary_spec(),
+    )
+    .unwrap()
 }
 
 /// One arrival step: rows to push, then an optional watermark.
@@ -425,10 +480,10 @@ fn push_boundary_wave(session: &mut IngestSession, side: SourceId, wave: &Bounda
 /// Feeds the boundary waves following `order` (a sequence of
 /// `(source, wave index)` steps), draining after every step, and returns
 /// the emission transcript.
-fn run_boundary_schedule(order: &[(SourceId, usize)], pooled: bool) -> Transcript {
+fn run_boundary_schedule(order: &[(SourceId, usize)]) -> Transcript {
     let r = r_boundary_waves();
     let t = t_boundary_waves();
-    let mut session = open_boundary_session(pooled);
+    let mut session = open_boundary_session();
     let mut transcript = Transcript::new();
     let mut seen = std::collections::HashSet::new();
     let mut progress = 0.0;
@@ -457,8 +512,7 @@ fn run_boundary_schedule(order: &[(SourceId, usize)], pooled: bool) -> Transcrip
 
 /// Rows exactly equal to the watermark — including watermarks sitting on
 /// grid cell boundaries — are admitted on every arrival schedule, and the
-/// emission transcript still matches the all-at-once oracle on both
-/// backends.
+/// emission transcript still matches the all-at-once oracle.
 #[test]
 fn watermark_equality_rows_match_the_oracle_across_schedules() {
     use SourceId::{R, T};
@@ -467,43 +521,41 @@ fn watermark_equality_rows_match_the_oracle_across_schedules() {
     let t_first: &[(SourceId, usize)] = &[(T, 0), (T, 1), (T, 2), (R, 0), (R, 1), (R, 2), (R, 3)];
     let r_first: &[(SourceId, usize)] = &[(R, 0), (R, 1), (R, 2), (R, 3), (T, 0), (T, 1), (T, 2)];
 
-    for pooled in [false, true] {
-        // All-at-once oracle: same logical rows, no watermarks.
-        let mut session = open_boundary_session(pooled);
-        let r_rows: Vec<(u32, Vec<f64>, u32)> =
-            r_boundary_waves().into_iter().flat_map(|w| w.0).collect();
-        let t_rows: Vec<(u32, Vec<f64>, u32)> =
-            t_boundary_waves().into_iter().flat_map(|w| w.0).collect();
-        for (side, rows) in [(R, &r_rows), (T, &t_rows)] {
-            let refs: Vec<(u32, &[f64], u32)> = rows
-                .iter()
-                .map(|(id, attrs, key)| (*id, attrs.as_slice(), *key))
-                .collect();
-            session.push_with_ids(side, &refs).unwrap();
-            session.close(side);
-        }
-        let mut reference = Transcript::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut progress = 0.0;
-        drain(&mut session, &mut reference, &mut seen, &mut progress);
-        session.finish();
-        let results: usize = reference.iter().map(|b| b.len()).sum();
-        assert!(
-            results > 1,
-            "boundary workload must keep a non-trivial skyline ({results} results)"
-        );
+    // All-at-once oracle: same logical rows, no watermarks.
+    let mut session = open_boundary_session();
+    let r_rows: Vec<(u32, Vec<f64>, u32)> =
+        r_boundary_waves().into_iter().flat_map(|w| w.0).collect();
+    let t_rows: Vec<(u32, Vec<f64>, u32)> =
+        t_boundary_waves().into_iter().flat_map(|w| w.0).collect();
+    for (side, rows) in [(R, &r_rows), (T, &t_rows)] {
+        let refs: Vec<(u32, &[f64], u32)> = rows
+            .iter()
+            .map(|(id, attrs, key)| (*id, attrs.as_slice(), *key))
+            .collect();
+        session.push_with_ids(side, &refs).unwrap();
+        session.close(side);
+    }
+    let mut reference = Transcript::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut progress = 0.0;
+    drain(&mut session, &mut reference, &mut seen, &mut progress);
+    session.finish();
+    let results: usize = reference.iter().map(|b| b.len()).sum();
+    assert!(
+        results > 1,
+        "boundary workload must keep a non-trivial skyline ({results} results)"
+    );
 
-        for (name, order) in [
-            ("interleaved", interleaved),
-            ("t-first", t_first),
-            ("r-first", r_first),
-        ] {
-            let transcript = run_boundary_schedule(order, pooled);
-            assert_eq!(
-                transcript, reference,
-                "pooled={pooled}/{name}: emission diverged from all-at-once"
-            );
-        }
+    for (name, order) in [
+        ("interleaved", interleaved),
+        ("t-first", t_first),
+        ("r-first", r_first),
+    ] {
+        let transcript = run_boundary_schedule(order);
+        assert_eq!(
+            transcript, reference,
+            "{name}: emission diverged from all-at-once"
+        );
     }
 }
 
@@ -515,56 +567,54 @@ fn watermark_equality_rows_match_the_oracle_across_schedules() {
 fn below_watermark_rows_are_rejected_with_a_typed_error() {
     use progxe::core::ingest::IngestError;
 
-    for pooled in [false, true] {
-        let mut session = open_boundary_session(pooled);
-        session.set_watermark(SourceId::R, &[30.0, 30.0]).unwrap();
+    let mut session = open_boundary_session();
+    session.set_watermark(SourceId::R, &[30.0, 30.0]).unwrap();
 
-        // Equality on a cell boundary: admitted.
-        session
-            .push_with_ids(SourceId::R, &[(0, &[30.0, 30.0][..], 0)])
-            .unwrap();
-        // Strictly below in dimension 1: typed rejection.
-        let err = session
-            .push_with_ids(SourceId::R, &[(1, &[31.0, 29.5][..], 0)])
-            .unwrap_err();
-        match err {
-            IngestError::RowBelowWatermark {
-                source,
-                dim,
-                watermark,
-                value,
-            } => {
-                assert_eq!(source, SourceId::R);
-                assert_eq!(dim, 1);
-                assert_eq!(watermark, 30.0);
-                assert_eq!(value, 29.5);
-            }
-            other => panic!("expected RowBelowWatermark, got {other:?}"),
+    // Equality on a cell boundary: admitted.
+    session
+        .push_with_ids(SourceId::R, &[(0, &[30.0, 30.0][..], 0)])
+        .unwrap();
+    // Strictly below in dimension 1: typed rejection.
+    let err = session
+        .push_with_ids(SourceId::R, &[(1, &[31.0, 29.5][..], 0)])
+        .unwrap_err();
+    match err {
+        IngestError::RowBelowWatermark {
+            source,
+            dim,
+            watermark,
+            value,
+        } => {
+            assert_eq!(source, SourceId::R);
+            assert_eq!(dim, 1);
+            assert_eq!(watermark, 30.0);
+            assert_eq!(value, 29.5);
         }
-
-        // The rejection must not poison the session: keep feeding and run
-        // to completion.
-        session
-            .push_with_ids(SourceId::R, &[(2, &[40.0, 30.0][..], 0)])
-            .unwrap();
-        session
-            .push_with_ids(SourceId::T, &[(0, &[10.0, 10.0][..], 0)])
-            .unwrap();
-        session.close(SourceId::R);
-        session.close(SourceId::T);
-        let mut transcript = Transcript::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut progress = 0.0;
-        drain(&mut session, &mut transcript, &mut seen, &mut progress);
-        assert!(matches!(session.poll(), IngestPoll::Complete));
-        let stats = session.finish();
-        assert!(!stats.cancelled, "pooled={pooled}");
-        assert_eq!(stats.tuples_ingested, 3, "the rejected row is not counted");
-        let flat: Vec<(u32, u32)> = transcript.into_iter().flatten().collect();
-        assert_eq!(
-            flat,
-            vec![(0, 0)],
-            "pooled={pooled}: the boundary row joins; the rejected row never surfaces"
-        );
+        other => panic!("expected RowBelowWatermark, got {other:?}"),
     }
+
+    // The rejection must not poison the session: keep feeding and run
+    // to completion.
+    session
+        .push_with_ids(SourceId::R, &[(2, &[40.0, 30.0][..], 0)])
+        .unwrap();
+    session
+        .push_with_ids(SourceId::T, &[(0, &[10.0, 10.0][..], 0)])
+        .unwrap();
+    session.close(SourceId::R);
+    session.close(SourceId::T);
+    let mut transcript = Transcript::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut progress = 0.0;
+    drain(&mut session, &mut transcript, &mut seen, &mut progress);
+    assert!(matches!(session.poll(), IngestPoll::Complete));
+    let stats = session.finish();
+    assert!(!stats.cancelled);
+    assert_eq!(stats.tuples_ingested, 3, "the rejected row is not counted");
+    let flat: Vec<(u32, u32)> = transcript.into_iter().flatten().collect();
+    assert_eq!(
+        flat,
+        vec![(0, 0)],
+        "the boundary row joins; the rejected row never surfaces"
+    );
 }

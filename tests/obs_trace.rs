@@ -1,24 +1,23 @@
 //! Trace well-formedness: the observability subsystem's structural
-//! guarantees, fuzzed across workload distributions and seeds on both
-//! executor backends.
+//! guarantees, fuzzed across workload distributions and seeds, with and
+//! without a worker pool.
 //!
 //! * Every span begun ends exactly once (balanced begin/end, unique ids,
 //!   monotone sequence numbers) — on completed *and* cancelled sessions.
-//! * Inline and Pooled backends agree on the multiset of `emit` points
+//! * Inline and pooled runs agree on the multiset of `emit` points
 //!   (tracing must see the same bit-identical emission the session
 //!   contract guarantees).
 //! * Streaming sessions record `ingest_batch` spans, `seal` points on
 //!   close, and `stall` points while the schedule is input-gated.
 
+mod common;
+
 use progxe::core::config::ProgXeConfig;
-use progxe::core::driver::ExecutorBackend;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::mapping::MapSet;
 use progxe::core::prelude::*;
-use progxe::core::session::CancellationToken;
 use progxe::datagen::{Distribution, SmjWorkload, WorkloadSpec};
 use progxe::obs::{Event, EventKind, Point, Recorder, RingRecorder, Span, SpanId};
-use progxe::runtime::ParallelProgXe;
 use progxe::skyline::Preference;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -120,7 +119,7 @@ fn spans_balance_and_backends_agree_on_emission() {
 
             let inline_ring = big_ring();
             let inline = ProgXe::new(ProgXeConfig::default())
-                .with_recorder(inline_ring.clone() as Arc<dyn Recorder>)
+                .with_recorder(Some(inline_ring.clone()))
                 .run_collect(&r, &t, &maps)
                 .unwrap();
             assert_eq!(inline_ring.dropped(), 0, "{ctx}: inline ring overflowed");
@@ -129,10 +128,13 @@ fn spans_balance_and_backends_agree_on_emission() {
             assert!(spans > 0, "{ctx}: no spans recorded");
 
             let pooled_ring = big_ring();
-            let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
-                .with_recorder(pooled_ring.clone() as Arc<dyn Recorder>);
+            // Gate 0: every region is computed (and traced) on a worker.
+            let (engine, runtime) =
+                common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(0), 4);
+            let engine = engine.with_recorder(Some(pooled_ring.clone()));
             let pooled = engine.run_collect(&r, &t, &maps).unwrap();
-            drop(engine); // joins the pool: every worker-side event has landed
+            // Joins the pool: every worker-side event has landed.
+            drop((engine, runtime));
             assert_eq!(pooled_ring.dropped(), 0, "{ctx}: pooled ring overflowed");
             let pooled_events = pooled_ring.drain();
             assert_wellformed(&pooled_events, &format!("{ctx}/pooled"));
@@ -171,13 +173,14 @@ fn cancelled_sessions_close_every_span() {
                 let ctx = format!("{dist:?}/{seed}/{backend}/cancelled");
                 let ring = big_ring();
                 let pooled_engine = (backend == "pooled").then(|| {
-                    ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
-                        .with_recorder(ring.clone() as Arc<dyn Recorder>)
+                    let (engine, runtime) =
+                        common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(0), 4);
+                    (engine.with_recorder(Some(ring.clone())), runtime)
                 });
                 let out = match &pooled_engine {
-                    Some(engine) => engine.open(&r, &t, &maps).unwrap().take(1),
+                    Some((engine, _)) => engine.open(&r, &t, &maps).unwrap().take(1),
                     None => ProgXe::new(ProgXeConfig::default())
-                        .with_recorder(ring.clone() as Arc<dyn Recorder>)
+                        .with_recorder(Some(ring.clone()))
                         .open(&r, &t, &maps)
                         .unwrap()
                         .take(1),
@@ -247,8 +250,6 @@ fn ingest_traces_record_batches_seals_and_stalls() {
             &maps,
             spec(),
             spec(),
-            ExecutorBackend::Inline,
-            CancellationToken::new(),
             Some(ring.clone() as Arc<dyn Recorder>),
         )
         .unwrap();
@@ -283,24 +284,6 @@ fn ingest_traces_record_batches_seals_and_stalls() {
         assert!(
             stats.batch_interarrival.count() as usize >= pushes - 1,
             "{ctx}: inter-arrival histogram missing batches"
-        );
-
-        // The pooled backend must trace the identical emission.
-        let pooled_ring = big_ring();
-        let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
-            .with_recorder(pooled_ring.clone() as Arc<dyn Recorder>);
-        let mut pooled = engine.open_ingest(&maps, spec(), spec()).unwrap();
-        let (pooled_results, _) = run(&mut pooled);
-        assert!(!pooled.finish().cancelled, "{ctx}");
-        drop(engine);
-        assert_eq!(pooled_ring.dropped(), 0, "{ctx}: pooled ring overflowed");
-        let pooled_events = pooled_ring.drain();
-        assert_wellformed(&pooled_events, &format!("{ctx}/pooled"));
-        assert_eq!(pooled_results, results, "{ctx}: backends diverged");
-        assert_eq!(
-            emit_multiset(&pooled_events),
-            emit_multiset(&events),
-            "{ctx}: backends disagree on streamed emit events"
         );
     }
 }

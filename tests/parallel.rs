@@ -12,7 +12,6 @@ use progxe::core::mapping::{GeneralMap, MapSet, MappingFunction};
 use progxe::core::prelude::*;
 use progxe::core::session::CancellationToken;
 use progxe::datagen::{Distribution, SmjWorkload, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,7 +58,9 @@ fn parallel_matches_sequential_across_distributions_and_seeds() {
             let final_set: BTreeSet<_> = sequential.results.iter().map(result_key).collect();
             assert!(!final_set.is_empty(), "{dist:?}/{seed}: empty workload");
 
-            let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4));
+            // Gate 0: every region goes through the pool's ordered commit.
+            let (engine, _) =
+                common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(0), 4);
             let mut session = engine.open(&r, &t, &maps).unwrap();
             let mut emitted = BTreeSet::new();
             while let Some(event) = session.next_batch() {
@@ -88,7 +89,8 @@ fn parallel_matches_sequential_across_distributions_and_seeds() {
 /// several seeds, the unified driver must produce the oracle's result set
 /// on *every* backend/path combination — Inline with the default
 /// pre-filter gate, Inline forced onto the batch path, Inline forced onto
-/// the streaming path (the pre-PR sequential arrangement), and Pooled.
+/// the streaming path (no pre-filter at all), and Pooled with
+/// the default gate and with every region on the pool.
 #[test]
 fn unified_driver_matches_oracle_on_every_backend() {
     for dist in [
@@ -130,14 +132,16 @@ fn unified_driver_matches_oracle_on_every_backend() {
                     "{dist:?}/{seed}: {label} diverged from the oracle"
                 );
             }
-            let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(3))
-                .run_collect(&r, &t, &maps)
-                .unwrap();
-            assert_eq!(
-                run_ids(&pooled),
-                expected,
-                "{dist:?}/{seed}: pooled diverged from the oracle"
-            );
+            for gate in [ProgXeConfig::default().prefilter_min_pairs, 0] {
+                let (engine, _) =
+                    common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(gate), 3);
+                let pooled = engine.run_collect(&r, &t, &maps).unwrap();
+                assert_eq!(
+                    run_ids(&pooled),
+                    expected,
+                    "{dist:?}/{seed}: pooled (gate {gate}) diverged from the oracle"
+                );
+            }
         }
     }
 }
@@ -152,7 +156,7 @@ fn parallel_emission_is_deterministic_across_runs() {
         .generate();
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-    let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4));
+    let (engine, _) = common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(0), 4);
     let run = || {
         let mut session = engine.open(&r, &t, &maps).unwrap();
         let mut batches = Vec::new();
@@ -167,8 +171,8 @@ fn parallel_emission_is_deterministic_across_runs() {
     assert_eq!(a, b, "event stream depends on worker interleaving");
 }
 
-/// `ProgXeConfig::from_env` + the query dispatch rule means the CI matrix
-/// (PROGXE_THREADS=4) runs this very test through the parallel engine.
+/// `ProgXeConfig::from_env` sizes the runtime, so the CI matrix
+/// (PROGXE_THREADS=4) runs this very test on a four-worker pool.
 #[test]
 fn env_configured_thread_count_preserves_results() {
     let config = ProgXeConfig::from_env();
@@ -180,15 +184,8 @@ fn env_configured_thread_count_preserves_results() {
     let reference = ProgXe::new(ProgXeConfig::default())
         .run_collect(&r, &t, &maps)
         .unwrap();
-    let out = if config.threads.get() > 1 {
-        ParallelProgXe::new(config.clone())
-            .run_collect(&r, &t, &maps)
-            .unwrap()
-    } else {
-        ProgXe::new(config.clone())
-            .run_collect(&r, &t, &maps)
-            .unwrap()
-    };
+    let (engine, _) = common::pooled(config.clone(), config.threads.get());
+    let out = engine.run_collect(&r, &t, &maps).unwrap();
     let expect: BTreeSet<_> = reference.results.iter().map(result_key).collect();
     let got: BTreeSet<_> = out.results.iter().map(result_key).collect();
     assert_eq!(expect, got, "threads={}", config.threads.get());
@@ -357,8 +354,8 @@ fn engine_runtime_is_shared_and_shuts_down() {
         .generate();
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-    let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(3));
-    assert_eq!(engine.runtime().pools_spawned(), 0, "runtime spawns lazily");
+    let (engine, runtime) = common::pooled(ProgXeConfig::default().with_prefilter_min_pairs(0), 3);
+    assert_eq!(runtime.pools_spawned(), 0, "runtime spawns lazily");
     let a = engine.run_collect(&r, &t, &maps).unwrap();
     let b = engine.run_collect(&r, &t, &maps).unwrap();
     assert_eq!(
@@ -366,12 +363,13 @@ fn engine_runtime_is_shared_and_shuts_down() {
         "shared-pool sessions must stay deterministic"
     );
     assert_eq!(
-        engine.runtime().pools_spawned(),
+        runtime.pools_spawned(),
         1,
         "second session must reuse the first session's pool"
     );
-    let watch = engine.runtime().pool_watch().expect("pool spawned");
+    let watch = runtime.pool_watch().expect("pool spawned");
     drop(engine);
+    drop(runtime);
     assert!(
         watch.upgrade().is_none(),
         "dropping the engine must join the shared pool"
@@ -411,11 +409,7 @@ fn parallel_worker_stops_mid_region_on_cancel() {
         Preference::all_lowest(1),
     )
     .unwrap();
-    let engine = ParallelProgXe::new(
-        ProgXeConfig::default()
-            .with_input_partitions(1)
-            .with_threads(2),
-    );
+    let (engine, _) = common::pooled(ProgXeConfig::default().with_input_partitions(1), 2);
     let mut session = engine
         .session_with_token(&r.view(), &t.view(), &maps, token)
         .unwrap();
@@ -428,4 +422,48 @@ fn parallel_worker_stops_mid_region_on_cancel() {
         "worker ignored the token mid-region ({} matches)",
         stats.join_matches
     );
+}
+
+/// One pre-filter decision for both backends: for each gate value, a
+/// pooled run (3 workers) does exactly the inline run's join and dominance
+/// work and returns the same result set — regions under the gate stream on
+/// the committer thread either way, only larger ones reach a worker. With
+/// the gate at `usize::MAX` nothing reaches a worker, so the pool never
+/// spawns.
+#[test]
+fn pooled_does_the_same_dominance_work_as_inline() {
+    let w = WorkloadSpec::new(1500, 3, Distribution::AntiCorrelated, 0.02)
+        .with_seed(3)
+        .generate();
+    let (r, t) = views(&w);
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    let work = |s: &ExecStats| {
+        (
+            s.dominance_tests,
+            s.dominance_pairs,
+            s.join_pairs_evaluated,
+            s.tuples_prefiltered,
+        )
+    };
+    let ids = |out: &progxe::core::RunOutput| -> BTreeSet<(u32, u32)> {
+        out.results.iter().map(|x| (x.r_idx, x.t_idx)).collect()
+    };
+    for gate in [0, ProgXeConfig::default().prefilter_min_pairs, usize::MAX] {
+        let config = ProgXeConfig::default().with_prefilter_min_pairs(gate);
+        let inline = ProgXe::new(config.clone())
+            .run_collect(&r, &t, &maps)
+            .unwrap();
+        let (engine, runtime) = common::pooled(config, 3);
+        let pooled = engine.run_collect(&r, &t, &maps).unwrap();
+        assert!(!inline.results.is_empty(), "gate {gate}: empty workload");
+        assert_eq!(
+            work(&pooled.stats),
+            work(&inline.stats),
+            "gate {gate}: (dominance tests, dominance pairs, join pairs, prefiltered)"
+        );
+        assert_eq!(ids(&pooled), ids(&inline), "gate {gate}: result sets");
+        if gate == usize::MAX {
+            assert_eq!(runtime.pools_spawned(), 0, "no region reached a worker");
+        }
+    }
 }
