@@ -5,8 +5,7 @@
 //!                          [--out DIR] [--quick]
 //! ```
 //!
-//! Experiments: fig10-prog, fig10-time, fig11, fig12, fig13, cellbound,
-//! ablate-delta, ablate-order, ssmj-soundness, all.
+//! Run without arguments for the experiment list.
 //!
 //! Run in release mode: `cargo run --release -p progxe-bench --bin figures -- all`.
 
@@ -17,28 +16,31 @@ use progxe_bench::figures::{
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: figures <experiment|all> [options]
+/// CLI name, entry point, usage line.
+type Experiment = (&'static str, fn(&ExpOptions), &'static str);
 
-experiments:
-  fig10-prog      Figure 10 a-c  progressiveness of the ProgXe variations
-  fig10-time      Figure 10 d-f  total time vs join selectivity (variations)
-  fig11           Figure 11 a-f  ProgXe / ProgXe+ / SSMJ progressiveness
-  fig12           Figure 12 a-b  d = 5 progressiveness (SSMJ degenerates)
-  fig13           Figure 13 a-c  total time vs selectivity vs SSMJ
-  cellbound       Section III-B  comparable-cell bound, measured
-  ablate-delta    Section VI-B   grid-granularity sensitivity
-  ablate-order    Section VI-B   ordering-policy cost/benefit
-  ssmj-soundness  Section VII    SSMJ batch-1 false positives
-  scaling         first-output latency growth vs N (vs SSMJ, JF-SL)
-  threads         end-to-end speedup vs ProgXeConfig::threads (parallel runtime)
-  ingest          streaming ingestion: first-result latency vs arrival rate
-  fdom            flexible skylines: shrinkage + latency vs constraint tightness
-  obs             tracing overhead: recorder off / null / ring (gated)
-  kernels         columnar dominance kernels: batched vs scalar, blocker index vs naive (gated)
-  serving         TCP serving layer: QPS + first-result latency vs concurrent clients
-  all             everything above
+/// Every experiment, in `all` order.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig10-prog", fig10_prog, "Figure 10 a-c  progressiveness of the ProgXe variations"),
+    ("fig10-time", fig10_time, "Figure 10 d-f  total time vs join selectivity (variations)"),
+    ("fig11", fig11, "Figure 11 a-f  ProgXe / ProgXe+ / SSMJ progressiveness"),
+    ("fig12", fig12, "Figure 12 a-b  d = 5 progressiveness (SSMJ degenerates)"),
+    ("fig13", fig13, "Figure 13 a-c  total time vs selectivity vs SSMJ"),
+    ("cellbound", cellbound, "Section III-B  comparable-cell bound, measured"),
+    ("ablate-delta", ablate_delta, "Section VI-B   grid-granularity sensitivity"),
+    ("ablate-order", ablate_order, "Section VI-B   ordering-policy cost/benefit"),
+    ("ssmj-soundness", ssmj_soundness, "Section VII    SSMJ batch-1 false positives"),
+    ("scaling", scaling, "first-output latency growth vs N (vs SSMJ, JF-SL)"),
+    ("threads", threads, "end-to-end speedup vs ProgXeConfig::threads (parallel runtime)"),
+    ("ingest", ingest, "streaming ingestion: first-result latency vs arrival rate"),
+    ("fdom", fdom, "flexible skylines: shrinkage + latency vs constraint tightness"),
+    ("obs", obs, "tracing overhead: recorder off / null / ring (gated)"),
+    ("kernels", kernels, "columnar dominance kernels: batched vs scalar, blocker index vs naive (gated)"),
+    ("serving", serving, "TCP serving layer: QPS + first-result latency vs concurrent clients"),
+];
 
-options:
+const OPTIONS: &str = "options:
   --n N         override source cardinality
   --dims D      override output dimensionality
   --sigma S     override join selectivity (single-sigma experiments)
@@ -46,10 +48,18 @@ options:
   --out DIR     CSV output directory (default ./results)
   --quick       shrink workloads ~10x (smoke-test mode)";
 
+fn usage() -> String {
+    let mut text = String::from("usage: figures <experiment|all> [options]\n\nexperiments:\n");
+    for (name, _, help) in EXPERIMENTS {
+        text.push_str(&format!("  {name:<15} {help}\n"));
+    }
+    text + "  all             everything above\n\n" + OPTIONS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(exp) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let mut opt = ExpOptions::default();
@@ -83,70 +93,33 @@ fn main() -> ExitCode {
             },
             "--quick" => opt.quick = true,
             other => {
-                eprintln!("unknown option {other:?}\n{USAGE}");
+                eprintln!("unknown option {other:?}\n{}", usage());
                 return ExitCode::FAILURE;
             }
         }
         i += 1;
     }
 
-    let run_one = |name: &str, opt: &ExpOptions| -> bool {
-        match name {
-            "fig10-prog" => fig10_prog(opt),
-            "fig10-time" => fig10_time(opt),
-            "fig11" => fig11(opt),
-            "fig12" => fig12(opt),
-            "fig13" => fig13(opt),
-            "cellbound" => cellbound(opt),
-            "ablate-delta" => ablate_delta(opt),
-            "ablate-order" => ablate_order(opt),
-            "ssmj-soundness" => ssmj_soundness(opt),
-            "scaling" => scaling(opt),
-            "threads" => threads(opt),
-            "ingest" => ingest(opt),
-            "fdom" => fdom(opt),
-            "obs" => obs(opt),
-            "kernels" => kernels(opt),
-            "serving" => serving(opt),
-            _ => return false,
+    if exp == "all" {
+        for (_, run, _) in EXPERIMENTS {
+            println!();
+            run(&opt);
         }
-        true
-    };
-
-    match exp.as_str() {
-        "all" => {
-            for name in [
-                "fig10-prog",
-                "fig10-time",
-                "fig11",
-                "fig12",
-                "fig13",
-                "cellbound",
-                "ablate-delta",
-                "ablate-order",
-                "ssmj-soundness",
-                "scaling",
-                "threads",
-                "ingest",
-                "fdom",
-                "obs",
-                "kernels",
-                "serving",
-            ] {
-                println!();
-                run_one(name, &opt);
-            }
+        return ExitCode::SUCCESS;
+    }
+    match EXPERIMENTS.iter().find(|(name, ..)| name == exp) {
+        Some((_, run, _)) => {
+            run(&opt);
             ExitCode::SUCCESS
         }
-        name if run_one(name, &opt) => ExitCode::SUCCESS,
-        other => {
-            eprintln!("unknown experiment {other:?}\n{USAGE}");
+        None => {
+            eprintln!("unknown experiment {exp:?}\n{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
 fn bad_flag(flag: &str) -> ExitCode {
-    eprintln!("flag {flag} needs a valid value\n{USAGE}");
+    eprintln!("flag {flag} needs a valid value\n{}", usage());
     ExitCode::FAILURE
 }

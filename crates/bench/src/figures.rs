@@ -1,9 +1,12 @@
-//! One function per paper figure/ablation: generate the workload(s), run
-//! the algorithms, print the series the figure plots, write CSVs.
+//! One function per paper figure/ablation and per engineering experiment:
+//! generate the workload(s), run the algorithms, and render the measured
+//! rows — each built once, as `progxe_obs::Report`s — as a console table
+//! and a CSV file whose columns are the rows' keys. The perf experiments
+//! (threads, ingest, fdom, kernels, obs, serving) also write
+//! `BENCH_<name>.json`: a `host` object, the workload they ran, and the
+//! same rows under the same keys.
 //!
-//! Figure-to-function map (see DESIGN.md §3 and EXPERIMENTS.md):
-//!
-//! | Paper artifact | Function | Series |
+//! | Artifact | Function | Series |
 //! |---|---|---|
 //! | Fig. 10 a–c | [`fig10_prog`] | results vs time, 4 ProgXe variants × 3 distributions, σ=0.001 |
 //! | Fig. 10 d–f | [`fig10_time`] | total time vs σ, 4 ProgXe variants × 3 distributions |
@@ -15,11 +18,17 @@
 //! | Sec. VI-B overhead claim | [`ablate_order`] | ProgOrder cost vs benefit |
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
 //! | Figs. 11–12 at scale | [`scaling`] | first-output latency vs N |
+//! | Parallel runtime | [`threads`] | total time vs worker threads, pre-filter on/off |
+//! | Streaming ingestion | [`ingest`] | first-result latency vs arrival schedule and rate |
+//! | Flexible skylines | [`fdom`] | result shrinkage + latency vs constraint tightness |
+//! | Tracing | [`obs`] | wall time with the recorder off / null / ring (gated) |
+//! | Columnar kernels | [`kernels`] | batched vs scalar dominance, kd-tree vs naive blockers (gated) |
+//! | TCP serving | [`serving`] | QPS + first-result latency vs clients, push-to-update vs subscribers |
 
-use crate::report::{
-    fmt_duration, fmt_opt_duration, json_object, json_str, write_csv, write_json, Table,
+use crate::report::{hardware_threads, row, Record};
+use crate::runners::{
+    default_config_for, drain, run_algo, run_algo_with_timeout, AlgoKind, RunResult,
 };
-use crate::runners::{default_config_for, run_algo, run_algo_with_timeout, AlgoKind, RunResult};
 use progxe_core::config::OrderingPolicy;
 use progxe_core::driver::TaskSpawner;
 use progxe_core::executor::ProgXe;
@@ -28,6 +37,7 @@ use progxe_core::session::ProgressiveEngine;
 use progxe_core::sink::CountSink;
 use progxe_core::source::SourceView;
 use progxe_datagen::{Distribution, SmjWorkload, WorkloadSpec};
+use progxe_obs::{Report, Value};
 use progxe_runtime::EngineRuntime;
 use progxe_skyline::Preference;
 use std::path::PathBuf;
@@ -85,45 +95,65 @@ fn workload(n: usize, dims: usize, dist: Distribution, sigma: f64, seed: u64) ->
         .generate()
 }
 
-fn progressiveness_rows(dist: Distribution, sigma: f64, run: &RunResult) -> Vec<Vec<String>> {
+/// The `workload` object of a BENCH file for a generated join workload.
+fn workload_report(distribution: &str, n: usize, dims: usize, sigma: f64) -> Report {
+    row([
+        ("distribution", Value::Text(distribution.into())),
+        ("n", Value::U64(n as u64)),
+        ("dims", Value::U64(dims as u64)),
+        ("sigma", Value::F64(sigma)),
+    ])
+}
+
+fn text(s: &str) -> Value {
+    Value::Text(s.into())
+}
+
+fn count(n: usize) -> Value {
+    Value::U64(n as u64)
+}
+
+fn opt_ms(d: Option<Duration>) -> Value {
+    d.map_or(Value::Absent, Value::DurationMs)
+}
+
+/// A measured millisecond count, encoded like every duration; absent when
+/// it is not a valid duration (say, NaN for a run that never emitted).
+fn ms(x: f64) -> Value {
+    Duration::try_from_secs_f64(x / 1e3).map_or(Value::Absent, Value::DurationMs)
+}
+
+/// One row per result-bearing batch of `run`: the figure's plotted series.
+fn progressiveness_rows(dist: Distribution, sigma: f64, run: &RunResult) -> Vec<Report> {
     run.records
         .iter()
         .map(|r| {
-            vec![
-                dist.name().to_string(),
-                format!("{sigma}"),
-                run.algo.to_string(),
-                format!("{}", r.elapsed.as_micros()),
-                format!("{}", r.cumulative),
-            ]
+            row([
+                ("distribution", text(dist.name())),
+                ("sigma", Value::F64(sigma)),
+                ("algo", text(run.algo)),
+                ("elapsed_ms", Value::DurationMs(r.elapsed)),
+                ("cumulative", Value::U64(r.cumulative)),
+            ])
         })
         .collect()
 }
 
-fn summarize(table: &mut Table, dist: Distribution, run: &RunResult) {
-    table.row(vec![
-        dist.name().to_string(),
-        run.algo.to_string(),
-        format!("{}", run.results),
-        fmt_opt_duration(run.first_result()),
-        fmt_opt_duration(run.time_to_fraction(0.25)),
-        fmt_opt_duration(run.time_to_fraction(0.5)),
-        fmt_opt_duration(run.time_to_fraction(0.75)),
-        fmt_duration(run.total_time),
-    ]);
+/// One summary row of a progressiveness figure; `run` is `None` for an
+/// algorithm that produced nothing within its budget.
+fn summary_row(dist: Distribution, algo: &str, run: Option<&RunResult>) -> Report {
+    let at = |fraction| run.and_then(|r| r.time_to_fraction(fraction));
+    row([
+        ("distribution", text(dist.name())),
+        ("algo", text(algo)),
+        ("results", Value::U64(run.map_or(0, |r| r.results))),
+        ("first_ms", opt_ms(run.and_then(RunResult::first_result))),
+        ("t25_ms", opt_ms(at(0.25))),
+        ("t50_ms", opt_ms(at(0.5))),
+        ("t75_ms", opt_ms(at(0.75))),
+        ("total_ms", opt_ms(run.map(|r| r.total_time))),
+    ])
 }
-
-const PROG_HEADER: [&str; 8] = [
-    "distribution",
-    "algo",
-    "results",
-    "first",
-    "t25",
-    "t50",
-    "t75",
-    "total",
-];
-const SERIES_HEADER: [&str; 5] = ["distribution", "sigma", "algo", "elapsed_us", "cumulative"];
 
 /// Figure 10 a–c: progressiveness of the four ProgXe variations
 /// (correlated / independent / anti-correlated; σ = 0.001; d = 4).
@@ -134,19 +164,18 @@ pub fn fig10_prog(opt: &ExpOptions) {
     println!(
         "== Figure 10 a–c: ProgXe variations, progressiveness (N={n}, d={dims}, sigma={sigma}) =="
     );
-    let mut table = Table::new(&PROG_HEADER);
+    let mut summary = Vec::new();
     let mut series = Vec::new();
     for dist in Distribution::ALL {
         let w = workload(n, dims, dist, sigma, opt.seed);
         for kind in AlgoKind::PROGXE_VARIATIONS {
             let run = run_algo(kind, &w);
             series.extend(progressiveness_rows(dist, sigma, &run));
-            summarize(&mut table, dist, &run);
+            summary.push(summary_row(dist, run.algo, Some(&run)));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&opt.out, "fig10_prog_series", &SERIES_HEADER, &series).unwrap();
-    println!("series written to {}", path.display());
+    Record::new("fig10_prog", summary).emit(opt);
+    Record::new("fig10_prog_series", series).write_csv(opt);
 }
 
 /// Figure 10 d–f: total execution time of the four ProgXe variations over
@@ -166,7 +195,7 @@ pub fn fig13(opt: &ExpOptions) {
     sweep_sigma("fig13_time", "Figure 13 a–c", &AlgoKind::VS_SSMJ, opt);
 }
 
-fn sweep_sigma(csv: &str, title: &str, algos: &[AlgoKind], opt: &ExpOptions) {
+fn sweep_sigma(stem: &'static str, title: &str, algos: &[AlgoKind], opt: &ExpOptions) {
     let n = opt.pick_n(1000);
     let dims = opt.pick_dims(4);
     let sigmas: &[f64] = if opt.quick {
@@ -175,39 +204,23 @@ fn sweep_sigma(csv: &str, title: &str, algos: &[AlgoKind], opt: &ExpOptions) {
         &[0.0001, 0.001, 0.01, 0.1]
     };
     println!("== {title}: total time vs join selectivity (N={n}, d={dims}) ==");
-    let mut table = Table::new(&["distribution", "sigma", "algo", "total", "results"]);
     let mut rows = Vec::new();
     for dist in Distribution::ALL {
         for &sigma in sigmas {
             let w = workload(n, dims, dist, sigma, opt.seed);
             for &kind in algos {
                 let run = run_algo(kind, &w);
-                table.row(vec![
-                    dist.name().into(),
-                    format!("{sigma}"),
-                    run.algo.into(),
-                    fmt_duration(run.total_time),
-                    format!("{}", run.results),
-                ]);
-                rows.push(vec![
-                    dist.name().to_string(),
-                    format!("{sigma}"),
-                    run.algo.to_string(),
-                    format!("{}", run.total_time.as_micros()),
-                    format!("{}", run.results),
-                ]);
+                rows.push(row([
+                    ("distribution", text(dist.name())),
+                    ("sigma", Value::F64(sigma)),
+                    ("algo", text(run.algo)),
+                    ("total_ms", Value::DurationMs(run.total_time)),
+                    ("results", Value::U64(run.results)),
+                ]));
             }
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        csv,
-        &["distribution", "sigma", "algo", "total_us", "results"],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new(stem, rows).emit(opt);
 }
 
 /// Figure 11 a–f: progressiveness of ProgXe, ProgXe+ and SSMJ at σ = 0.01
@@ -216,7 +229,7 @@ pub fn fig11(opt: &ExpOptions) {
     let dims = opt.pick_dims(4);
     println!("== Figure 11 a–f: ProgXe vs ProgXe+ vs SSMJ, progressiveness (d={dims}) ==");
     let mut series = Vec::new();
-    let mut table = Table::new(&PROG_HEADER);
+    let mut summary = Vec::new();
     for (sigma, default_n) in [(0.01, 4000), (0.1, 2000)] {
         let sigma = opt.sigma.unwrap_or(sigma);
         let n = opt.pick_n(default_n);
@@ -226,13 +239,12 @@ pub fn fig11(opt: &ExpOptions) {
             for kind in AlgoKind::VS_SSMJ {
                 let run = run_algo(kind, &w);
                 series.extend(progressiveness_rows(dist, sigma, &run));
-                summarize(&mut table, dist, &run);
+                summary.push(summary_row(dist, run.algo, Some(&run)));
             }
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&opt.out, "fig11_series", &SERIES_HEADER, &series).unwrap();
-    println!("series written to {}", path.display());
+    Record::new("fig11", summary).emit(opt);
+    Record::new("fig11_series", series).write_csv(opt);
 }
 
 /// Figure 12 a–b: d = 5, σ = 0.1 — independent and anti-correlated (the
@@ -245,42 +257,28 @@ pub fn fig12(opt: &ExpOptions) {
     let budget = Duration::from_secs(if opt.quick { 20 } else { 120 });
     println!("== Figure 12 a–b: higher dimension (N={n}, d={dims}, sigma={sigma}) ==");
     let mut series = Vec::new();
-    let mut table = Table::new(&PROG_HEADER);
+    let mut summary = Vec::new();
     for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
         let w = workload(n, dims, dist, sigma, opt.seed);
         for kind in AlgoKind::VS_SSMJ {
             // SSMJ runs under a wall-clock budget: the paper's Figure 12.b
             // annotates "SSMJ did not return results even after several
             // hours" on anti-correlated data.
-            match run_algo_with_timeout(kind, &w, budget) {
-                Some(run) => {
-                    series.extend(progressiveness_rows(dist, sigma, &run));
-                    summarize(&mut table, dist, &run);
-                }
-                None => {
-                    table.row(vec![
-                        dist.name().into(),
-                        kind.label().into(),
-                        "0".into(),
-                        format!(">{budget:?}"),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!(">{budget:?}"),
-                    ]);
-                    println!(
-                        "  {} produced no results within {budget:?} on {} data \
-                         (cf. the paper's Fig. 12.b annotation)",
-                        kind.label(),
-                        dist.name()
-                    );
-                }
+            let run = run_algo_with_timeout(kind, &w, budget);
+            match &run {
+                Some(run) => series.extend(progressiveness_rows(dist, sigma, run)),
+                None => println!(
+                    "  {} produced no results within {budget:?} on {} data \
+                     (cf. the paper's Fig. 12.b annotation)",
+                    kind.label(),
+                    dist.name()
+                ),
             }
+            summary.push(summary_row(dist, kind.label(), run.as_ref()));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&opt.out, "fig12_series", &SERIES_HEADER, &series).unwrap();
-    println!("series written to {}", path.display());
+    Record::new("fig12", summary).emit(opt);
+    Record::new("fig12_series", series).write_csv(opt);
 }
 
 /// Scaling trend: first-output latency and total time vs N on
@@ -298,39 +296,21 @@ pub fn scaling(opt: &ExpOptions) {
         &[1000, 2000, 4000, 8000, 16000]
     };
     println!("== Scaling: first-output latency vs N (anti-correlated, d={dims}, sigma={sigma}) ==");
-    let mut table = Table::new(&["N", "algo", "results", "first output", "total"]);
     let mut rows = Vec::new();
     for &n in ns {
         let w = workload(n, dims, Distribution::AntiCorrelated, sigma, opt.seed);
         for kind in [AlgoKind::ProgXe, AlgoKind::Ssmj, AlgoKind::JfSl] {
             let run = run_algo(kind, &w);
-            table.row(vec![
-                format!("{n}"),
-                run.algo.into(),
-                format!("{}", run.results),
-                fmt_opt_duration(run.first_result()),
-                fmt_duration(run.total_time),
-            ]);
-            rows.push(vec![
-                format!("{n}"),
-                run.algo.to_string(),
-                format!("{}", run.results),
-                run.first_result()
-                    .map(|d| d.as_micros().to_string())
-                    .unwrap_or_default(),
-                format!("{}", run.total_time.as_micros()),
-            ]);
+            rows.push(row([
+                ("n", count(n)),
+                ("algo", text(run.algo)),
+                ("results", Value::U64(run.results)),
+                ("first_ms", opt_ms(run.first_result())),
+                ("total_ms", Value::DurationMs(run.total_time)),
+            ]));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "scaling",
-        &["n", "algo", "results", "first_us", "total_us"],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new("scaling", rows).emit(opt);
 }
 
 /// Thread scaling: end-to-end time of the 10k anti-correlated workload
@@ -341,11 +321,8 @@ pub fn scaling(opt: &ExpOptions) {
 /// hardware allows" tracking number — and additionally measures the inline
 /// local-skyline pre-filter against the pre-filter-free streaming
 /// arrangement (mode `inline-nofilter`), the measurement behind
-/// `ProgXeConfig::prefilter_min_pairs`.
-///
-/// Besides the CSV, writes machine-readable `BENCH_threads.json`
-/// (workload, per-run threads / wall-ms / first-result-ms) so the perf
-/// trajectory is tracked across PRs; CI uploads it as an artifact.
+/// `ProgXeConfig::prefilter_min_pairs`. Writes `threads.csv` and
+/// `BENCH_threads.json`.
 pub fn threads(opt: &ExpOptions) {
     let n = opt.pick_n(10_000);
     // Defaults pick the tuple-phase-heavy corner (d = 3, σ = 0.1): enough
@@ -354,9 +331,7 @@ pub fn threads(opt: &ExpOptions) {
     let dims = opt.pick_dims(3);
     let sigma = opt.sigma.unwrap_or(0.1);
     let counts: &[usize] = if opt.quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let hw = hardware_threads();
     println!(
         "== Thread scaling: total time vs threads \
          (anti-correlated, N={n}, d={dims}, sigma={sigma}; {hw} hardware threads) =="
@@ -365,152 +340,73 @@ pub fn threads(opt: &ExpOptions) {
     let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
-
-    let run_engine = |engine: Box<dyn ProgressiveEngine>| {
-        let mut session = engine.open(&r, &t, &maps).expect("valid configuration");
-        let mut first: Option<Duration> = None;
-        while let Some(event) = session.next_batch() {
-            if first.is_none() && !event.tuples.is_empty() {
-                first = Some(event.elapsed);
-            }
-        }
-        (first, session.finish())
+    let run_engine = |engine: ProgXe| {
+        drain(
+            engine.open(&r, &t, &maps).expect("valid configuration"),
+            |_| {},
+        )
     };
 
-    struct Run {
-        mode: &'static str,
-        threads: usize,
-        first: Option<Duration>,
-        stats: progxe_core::stats::ExecStats,
-    }
     let base_cfg = default_config_for(dims, sigma);
-    let mut runs: Vec<Run> = Vec::new();
     // Discarded warm-up: first-touch allocation and CPU ramp must not be
     // charged to whichever measured arrangement happens to run first.
-    let _ = run_engine(Box::new(ProgXe::new(base_cfg.clone())));
+    let _ = run_engine(ProgXe::new(base_cfg.clone()));
     // Pre-filter measurement: the pre-filter-free streaming arrangement
     // (the old sequential hot path) against the Inline default below.
-    {
-        let config = base_cfg.clone().with_prefilter_min_pairs(usize::MAX);
-        let (first, stats) = run_engine(Box::new(ProgXe::new(config)));
-        runs.push(Run {
-            mode: "inline-nofilter",
-            threads: 1,
-            first,
-            stats,
-        });
-    }
-    for &count in counts {
-        let config = base_cfg.clone().with_threads(count);
-        let (mode, spawner) = if count > 1 {
-            let runtime: Arc<dyn TaskSpawner> = Arc::new(EngineRuntime::new(count));
+    let nofilter = base_cfg.clone().with_prefilter_min_pairs(usize::MAX);
+    let mut runs = vec![("inline-nofilter", 1, run_engine(ProgXe::new(nofilter)))];
+    for &threads in counts {
+        let config = base_cfg.clone().with_threads(threads);
+        let (mode, spawner) = if threads > 1 {
+            let runtime: Arc<dyn TaskSpawner> = Arc::new(EngineRuntime::new(threads));
             ("pooled", Some(runtime))
         } else {
             ("inline", None)
         };
-        let (first, stats) = run_engine(Box::new(ProgXe::new(config).with_spawner(spawner)));
-        runs.push(Run {
-            mode,
-            threads: count,
-            first,
-            stats,
-        });
+        let run = run_engine(ProgXe::new(config).with_spawner(spawner));
+        runs.push((mode, threads, run));
     }
 
     // Speedups are relative to the inline (threads = 1, default
     // pre-filter gate) run.
     let baseline = runs
         .iter()
-        .find(|r| r.mode == "inline")
-        .map(|r| r.stats.total_time)
+        .find(|(mode, ..)| *mode == "inline")
+        .map(|(_, _, (_, stats))| stats.total_time)
         .expect("counts always include 1");
-    let mut table = Table::new(&[
-        "mode",
-        "threads",
-        "results",
-        "first output",
-        "total",
-        "speedup",
-    ]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in &runs {
-        println!("   {}/threads={}: {}", run.mode, run.threads, run.stats);
-        let total = run.stats.total_time;
-        let speedup = baseline.as_secs_f64() / total.as_secs_f64().max(1e-9);
-        table.row(vec![
-            run.mode.to_string(),
-            format!("{}", run.threads),
-            format!("{}", run.stats.results_emitted),
-            fmt_opt_duration(run.first),
-            fmt_duration(total),
-            format!("{speedup:.2}x"),
-        ]);
-        rows.push(vec![
-            run.mode.to_string(),
-            format!("{}", run.threads),
-            format!("{}", run.stats.results_emitted),
-            run.first
-                .map(|d| d.as_micros().to_string())
-                .unwrap_or_default(),
-            format!("{}", total.as_micros()),
-            format!("{speedup:.3}"),
-        ]);
-        json_runs.push(json_object(&[
-            ("mode", json_str(run.mode)),
-            ("threads", format!("{}", run.threads)),
-            ("wall_ms", format!("{:.3}", total.as_secs_f64() * 1e3)),
+    let rows = runs
+        .iter()
+        .map(|(mode, threads, (first, stats))| {
+            println!("   {mode}/threads={threads}: {stats}");
+            let speedup = baseline.as_secs_f64() / stats.total_time.as_secs_f64().max(1e-9);
+            row([
+                ("mode", text(mode)),
+                ("threads", count(*threads)),
+                ("results", Value::U64(stats.results_emitted)),
+                ("first_result_ms", opt_ms(*first)),
+                ("wall_ms", Value::DurationMs(stats.total_time)),
+                ("tuples_prefiltered", Value::U64(stats.tuples_prefiltered)),
+                ("speedup_vs_inline", Value::F64(speedup)),
+            ])
+        })
+        .collect();
+    Record::new("threads", rows).emit_bench(
+        opt,
+        [
             (
-                "first_result_ms",
-                run.first
-                    .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-                    .unwrap_or_else(|| "null".into()),
+                "workload",
+                Value::Object(workload_report("anti-correlated", n, dims, sigma)),
             ),
-            ("results", format!("{}", run.stats.results_emitted)),
-            (
-                "tuples_prefiltered",
-                format!("{}", run.stats.tuples_prefiltered),
-            ),
-            ("speedup_vs_inline", format!("{speedup:.3}")),
-        ]));
-    }
-    println!("{}", table.render());
+            ("prefilter_min_pairs", count(base_cfg.prefilter_min_pairs)),
+        ],
+        "runs",
+    );
     if hw < 4 {
         println!(
             "note: only {hw} hardware thread(s) available — speedups here are \
              host-bound; run on a multi-core machine for the real curve"
         );
     }
-    let path = write_csv(
-        &opt.out,
-        "threads",
-        &[
-            "mode", "threads", "results", "first_us", "total_us", "speedup",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("anti-correlated")),
-                ("n", format!("{n}")),
-                ("dims", format!("{dims}")),
-                ("sigma", format!("{sigma}")),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("hardware_threads", format!("{hw}")),
-        (
-            "prefilter_min_pairs",
-            format!("{}", base_cfg.prefilter_min_pairs),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_threads", &json).unwrap();
-    println!("json written to {}", path.display());
 }
 
 /// One measured streaming-ingestion run (see [`ingest`]).
@@ -532,6 +428,23 @@ pub struct IngestRun {
     pub results: u64,
 }
 
+impl IngestRun {
+    fn report(&self) -> Report {
+        row([
+            ("schedule", text(self.schedule)),
+            ("interval_ms", ms(self.interval_ms)),
+            ("arrival_end_ms", ms(self.arrival_end_ms)),
+            (
+                "first_result_ms",
+                self.first_result_ms.map_or(Value::Absent, ms),
+            ),
+            ("batch_first_result_ms", ms(self.batch_first_result_ms)),
+            ("compute_ms", ms(self.compute_ms)),
+            ("results", Value::U64(self.results)),
+        ])
+    }
+}
+
 /// Streaming ingestion: first-result latency vs arrival rate.
 ///
 /// Simulates two remote sources delivering an independent d=3 workload in
@@ -546,106 +459,33 @@ pub struct IngestRun {
 /// schedule it degrades to the batch engine's latency (watermarks barely
 /// move) — the two ends of the remote-source spectrum.
 ///
-/// Writes `ingest.csv` and machine-readable `BENCH_ingest.json`
-/// (arrival-rate vs first-result-ms per schedule); CI uploads
-/// the JSON as an artifact next to `BENCH_threads.json`.
+/// Writes `ingest.csv` and `BENCH_ingest.json`.
 pub fn ingest(opt: &ExpOptions) {
-    let runs = ingest_measurements(opt);
-    write_ingest_outputs(opt, &runs);
+    let (workload, runs) = ingest_measurements(opt);
+    emit_runs(opt, "ingest", workload, &runs, IngestRun::report);
 }
 
-/// Renders + persists one set of [`IngestRun`]s (`ingest.csv`,
-/// `BENCH_ingest.json`). Split from [`ingest`] so tests can assert on the
-/// measurements and then exercise the writer without re-running the sweep.
-fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
-    let mut table = Table::new(&[
-        "schedule",
-        "interval",
-        "arrival end",
-        "stream first",
-        "batch first",
-        "results",
-    ]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in runs {
-        table.row(vec![
-            run.schedule.to_string(),
-            format!("{:.0}ms", run.interval_ms),
-            format!("{:.1}ms", run.arrival_end_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.1}ms"))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.1}ms", run.batch_first_result_ms),
-            format!("{}", run.results),
-        ]);
-        rows.push(vec![
-            run.schedule.to_string(),
-            format!("{:.3}", run.interval_ms),
-            format!("{:.3}", run.arrival_end_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-            format!("{:.3}", run.batch_first_result_ms),
-            format!("{:.3}", run.compute_ms),
-            format!("{}", run.results),
-        ]);
-        json_runs.push(json_object(&[
-            ("schedule", json_str(run.schedule)),
-            ("interval_ms", format!("{:.3}", run.interval_ms)),
-            ("arrival_end_ms", format!("{:.3}", run.arrival_end_ms)),
-            (
-                "first_result_ms",
-                run.first_result_ms
-                    .map(|v| format!("{v:.3}"))
-                    .unwrap_or_else(|| "null".into()),
-            ),
-            (
-                "batch_first_result_ms",
-                format!("{:.3}", run.batch_first_result_ms),
-            ),
-            ("compute_ms", format!("{:.3}", run.compute_ms)),
-            ("results", format!("{}", run.results)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "ingest",
-        &[
-            "schedule",
-            "interval_ms",
-            "arrival_end_ms",
-            "first_ms",
-            "batch_first_ms",
-            "compute_ms",
-            "results",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("independent")),
-                ("n", format!("{}", opt.pick_n(10_000))),
-                ("dims", format!("{}", opt.pick_dims(3))),
-                ("sigma", format!("{}", opt.sigma.unwrap_or(0.1))),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_ingest", &json).unwrap();
-    println!("json written to {}", path.display());
+/// Emits one perf experiment's runs: table, `<stem>.csv` and
+/// `BENCH_<stem>.json` with `workload` ahead of the runs.
+fn emit_runs<R>(
+    opt: &ExpOptions,
+    stem: &'static str,
+    workload: Report,
+    runs: &[R],
+    report: fn(&R) -> Report,
+) {
+    Record::new(stem, runs.iter().map(report).collect()).emit_bench(
+        opt,
+        [("workload", Value::Object(workload))],
+        "runs",
+    );
 }
 
-/// The measured core of [`ingest`], separated so tests can assert on the
-/// numbers (notably: trickle first-result strictly below the batch
-/// engine's) without parsing JSON.
-pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
+/// The measured core of [`ingest`]: the workload it ran and one run per
+/// schedule × interval, separated so tests can assert on the numbers
+/// (notably: trickle first-result strictly below the batch engine's)
+/// without parsing JSON.
+pub fn ingest_measurements(opt: &ExpOptions) -> (Report, Vec<IngestRun>) {
     use progxe_core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
     use progxe_datagen::ArrivalSpec;
     use std::time::Instant;
@@ -664,20 +504,12 @@ pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
     // `arrival_end + this`.
     let r_view = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t_view = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
-    let batch_first = {
-        let mut session = ProgXe::new(config.clone())
-            .open(&r_view, &t_view, &maps)
-            .expect("valid config");
-        let mut first = None;
-        while let Some(event) = session.next_batch() {
-            if first.is_none() && !event.tuples.is_empty() {
-                first = Some(event.elapsed);
-            }
-        }
-        session.finish();
-        first.map(|d| d.as_secs_f64() * 1e3).unwrap_or(f64::NAN)
-    };
-
+    let session = ProgXe::new(config.clone())
+        .open(&r_view, &t_view, &maps)
+        .expect("valid config");
+    let batch_first = drain(session, |_| {})
+        .0
+        .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
     let schedules: Vec<(&'static str, ArrivalSpec)> = vec![
         (
             "uniform-shuffle",
@@ -777,7 +609,7 @@ pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
             });
         }
     }
-    runs
+    (workload_report("independent", n, dims, sigma), runs)
 }
 
 /// One measured flexible-skyline run (see [`fdom`]).
@@ -799,26 +631,52 @@ pub struct FdomRun {
     pub fdom_filtered: u64,
 }
 
+impl FdomRun {
+    fn report(&self) -> Report {
+        let shrinkage = if self.pareto_results == 0 {
+            1.0
+        } else {
+            self.results as f64 / self.pareto_results as f64
+        };
+        row([
+            ("distribution", text(self.distribution)),
+            (
+                "tightness",
+                self.tightness.map_or(Value::Absent, Value::F64),
+            ),
+            ("results", Value::U64(self.results)),
+            ("pareto_results", Value::U64(self.pareto_results)),
+            ("shrinkage", Value::F64(shrinkage)),
+            ("fdom_filtered", Value::U64(self.fdom_filtered)),
+            (
+                "first_result_ms",
+                self.first_result_ms.map_or(Value::Absent, ms),
+            ),
+            ("wall_ms", ms(self.wall_ms)),
+        ])
+    }
+}
+
 /// Flexible skylines: result-set shrinkage and first-result latency vs
 /// weight-constraint tightness, across the three distributions.
 ///
-/// For each distribution the ProgXe engine runs once under Pareto and once
-/// per tightness step of the nested `simplex_band` family
-/// (`progxe_datagen::weights`). As the band tightens the admissible
-/// scoring weights shrink, more trade-off pairs become F-dominated, and
-/// the answer interpolates from the full skyline toward a top-1-style
-/// result — the shrinkage column. Writes `fdom.csv` and machine-readable
-/// `BENCH_fdom.json`; CI uploads the JSON next to the threads/ingest
-/// artifacts.
+/// For each distribution the ProgXe engine runs once under Pareto (the
+/// rows with no tightness) and once per tightness step of the nested
+/// `simplex_band` family (`progxe_datagen::weights`). As the band tightens
+/// the admissible scoring weights shrink, more trade-off pairs become
+/// F-dominated, and the answer interpolates from the full skyline toward a
+/// top-1-style result — the shrinkage column. Writes `fdom.csv` and
+/// `BENCH_fdom.json`.
 pub fn fdom(opt: &ExpOptions) {
-    let runs = fdom_measurements(opt);
-    write_fdom_outputs(opt, &runs);
+    let (workload, runs) = fdom_measurements(opt);
+    emit_runs(opt, "fdom", workload, &runs, FdomRun::report);
 }
 
-/// The measured core of [`fdom`], separated so tests can assert on the
-/// numbers (tightness 0 ≡ Pareto; counts non-increasing along the nested
-/// sweep) without re-running the sweep for the writer.
-pub fn fdom_measurements(opt: &ExpOptions) -> Vec<FdomRun> {
+/// The measured core of [`fdom`]: the workload it ran and its runs,
+/// separated so tests can assert on the numbers (tightness 0 ≡ Pareto;
+/// counts non-increasing along the nested sweep) without re-running the
+/// sweep for the writer.
+pub fn fdom_measurements(opt: &ExpOptions) -> (Report, Vec<FdomRun>) {
     use progxe_core::fdom::flexible_model;
     use progxe_datagen::simplex_band;
 
@@ -836,17 +694,12 @@ pub fn fdom_measurements(opt: &ExpOptions) -> Vec<FdomRun> {
     );
     let config = default_config_for(dims, sigma);
     let run_once = |maps: &MapSet, r: &SourceView<'_>, t: &SourceView<'_>| {
-        let mut session = ProgXe::new(config.clone())
+        let session = ProgXe::new(config.clone())
             .open(r, t, maps)
             .expect("valid configuration");
-        let mut first: Option<Duration> = None;
-        while let Some(event) = session.next_batch() {
-            if first.is_none() && !event.tuples.is_empty() {
-                first = Some(event.elapsed);
-            }
-        }
-        (first, session.finish())
+        drain(session, |_| {})
     };
+    let to_ms = |d: Duration| d.as_secs_f64() * 1e3;
 
     let mut runs = Vec::new();
     for dist in Distribution::ALL {
@@ -861,8 +714,8 @@ pub fn fdom_measurements(opt: &ExpOptions) -> Vec<FdomRun> {
             tightness: None,
             results: pareto_results,
             pareto_results,
-            first_result_ms: p_first.map(|d| d.as_secs_f64() * 1e3),
-            wall_ms: p_stats.total_time.as_secs_f64() * 1e3,
+            first_result_ms: p_first.map(to_ms),
+            wall_ms: to_ms(p_stats.total_time),
             fdom_filtered: 0,
         });
         for &tight in tightnesses {
@@ -876,115 +729,15 @@ pub fn fdom_measurements(opt: &ExpOptions) -> Vec<FdomRun> {
                 tightness: Some(tight),
                 results: stats.results_emitted,
                 pareto_results,
-                first_result_ms: first.map(|d| d.as_secs_f64() * 1e3),
-                wall_ms: stats.total_time.as_secs_f64() * 1e3,
+                first_result_ms: first.map(to_ms),
+                wall_ms: to_ms(stats.total_time),
                 fdom_filtered: stats.tuples_fdom_filtered,
             });
         }
     }
-    runs
+    // The rows carry their distribution; the sweep covers all three.
+    (workload_report("all", n, dims, sigma), runs)
 }
-
-/// Renders + persists one set of [`FdomRun`]s (`fdom.csv`,
-/// `BENCH_fdom.json`).
-fn write_fdom_outputs(opt: &ExpOptions, runs: &[FdomRun]) {
-    let mut table = Table::new(&[
-        "distribution",
-        "tightness",
-        "results",
-        "shrinkage",
-        "filtered",
-        "first",
-        "total",
-    ]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in runs {
-        let tightness = run
-            .tightness
-            .map(|t| format!("{t}"))
-            .unwrap_or_else(|| "pareto".into());
-        let shrinkage = if run.pareto_results == 0 {
-            1.0
-        } else {
-            run.results as f64 / run.pareto_results as f64
-        };
-        table.row(vec![
-            run.distribution.to_string(),
-            tightness.clone(),
-            format!("{}", run.results),
-            format!("{shrinkage:.3}"),
-            format!("{}", run.fdom_filtered),
-            run.first_result_ms
-                .map(|v| format!("{v:.1}ms"))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.1}ms", run.wall_ms),
-        ]);
-        rows.push(vec![
-            run.distribution.to_string(),
-            tightness.clone(),
-            format!("{}", run.results),
-            format!("{shrinkage:.4}"),
-            format!("{}", run.fdom_filtered),
-            run.first_result_ms
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-            format!("{:.3}", run.wall_ms),
-        ]);
-        json_runs.push(json_object(&[
-            ("distribution", json_str(run.distribution)),
-            (
-                "tightness",
-                run.tightness
-                    .map(|t| format!("{t}"))
-                    .unwrap_or_else(|| "null".into()),
-            ),
-            ("results", format!("{}", run.results)),
-            ("pareto_results", format!("{}", run.pareto_results)),
-            ("shrinkage", format!("{shrinkage:.4}")),
-            ("fdom_filtered", format!("{}", run.fdom_filtered)),
-            (
-                "first_result_ms",
-                run.first_result_ms
-                    .map(|v| format!("{v:.3}"))
-                    .unwrap_or_else(|| "null".into()),
-            ),
-            ("wall_ms", format!("{:.3}", run.wall_ms)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "fdom",
-        &[
-            "distribution",
-            "tightness",
-            "results",
-            "shrinkage",
-            "fdom_filtered",
-            "first_ms",
-            "total_ms",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("n", format!("{}", opt.pick_n(4_000))),
-                ("dims", format!("{}", opt.pick_dims(3))),
-                ("sigma", format!("{}", opt.sigma.unwrap_or(0.01))),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_fdom", &json).unwrap();
-    println!("json written to {}", path.display());
-}
-
 /// One measured kernel-vs-scalar comparison (see [`kernels`]).
 pub struct KernelRun {
     /// `"mask"` (batched dominated-mask vs per-row scalar loop) or
@@ -1014,24 +767,43 @@ pub struct KernelRun {
     pub naive_ops: u64,
 }
 
+impl KernelRun {
+    fn report(&self) -> Report {
+        row([
+            ("kind", text(self.kind)),
+            ("dims", count(self.dims)),
+            ("n", count(self.n)),
+            ("queries", count(self.queries)),
+            ("scalar_ms", ms(self.scalar_ms)),
+            ("batched_ms", ms(self.batched_ms)),
+            ("speedup", Value::F64(self.speedup)),
+            ("scalar_mpairs_s", Value::F64(self.scalar_mpairs_s)),
+            ("batched_mpairs_s", Value::F64(self.batched_mpairs_s)),
+            ("index_ops", Value::U64(self.index_ops)),
+            ("naive_ops", Value::U64(self.naive_ops)),
+        ])
+    }
+}
+
 /// Columnar-kernel microbenchmarks: batched dominated-mask throughput vs
 /// the one-pair-at-a-time scalar loop across dims × batch sizes
 /// (anti-correlated data — the dominance-heavy worst case), and the
 /// kd-tree flexible blocker index vs the retired `regions × cells` loop at
 /// growing region counts. Both sides are verified to produce identical
 /// answers before timing is reported. Writes `kernels.csv` and
-/// machine-readable `BENCH_kernels.json`; panics (failing CI) if the
+/// `BENCH_kernels.json`; panics (failing CI) if the
 /// batched kernel loses to scalar or the blocker index fails to do less
 /// work than the naive loop.
 pub fn kernels(opt: &ExpOptions) {
-    let runs = kernel_measurements(opt);
+    let (workload, runs) = kernel_measurements(opt);
     assert_kernel_gates(&runs, opt.quick);
-    write_kernel_outputs(opt, &runs);
+    emit_runs(opt, "kernels", workload, &runs, KernelRun::report);
 }
 
-/// The measured core of [`kernels`], separated so tests can assert on the
-/// numbers without re-running the sweep for the writer.
-pub fn kernel_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
+/// The measured core of [`kernels`]: the mask sweep's workload and every
+/// run, separated so tests can assert on the numbers without re-running
+/// the sweep for the writer.
+pub fn kernel_measurements(opt: &ExpOptions) -> (Report, Vec<KernelRun>) {
     use progxe_skyline::kernel;
     use std::time::Instant;
 
@@ -1104,7 +876,12 @@ pub fn kernel_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
     }
 
     runs.extend(blocker_measurements(opt));
-    runs
+    let workload = row([
+        ("distribution", text("anti-correlated")),
+        ("queries", count(queries)),
+        ("repeats", count(repeats)),
+    ]);
+    (workload, runs)
 }
 
 /// Blocker-index half of [`kernel_measurements`]: kd-tree dominance counts
@@ -1271,90 +1048,6 @@ fn assert_kernel_gates(runs: &[KernelRun], quick: bool) {
     }
 }
 
-/// Renders + persists one set of [`KernelRun`]s (`kernels.csv`,
-/// `BENCH_kernels.json`).
-fn write_kernel_outputs(opt: &ExpOptions, runs: &[KernelRun]) {
-    let mut table = Table::new(&[
-        "kind", "dims", "n", "queries", "scalar", "batched", "speedup", "ops", "naive",
-    ]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in runs {
-        table.row(vec![
-            run.kind.to_string(),
-            format!("{}", run.dims),
-            format!("{}", run.n),
-            format!("{}", run.queries),
-            format!("{:.2}ms", run.scalar_ms),
-            format!("{:.2}ms", run.batched_ms),
-            format!("{:.2}x", run.speedup),
-            format!("{}", run.index_ops),
-            format!("{}", run.naive_ops),
-        ]);
-        rows.push(vec![
-            run.kind.to_string(),
-            format!("{}", run.dims),
-            format!("{}", run.n),
-            format!("{}", run.queries),
-            format!("{:.4}", run.scalar_ms),
-            format!("{:.4}", run.batched_ms),
-            format!("{:.3}", run.speedup),
-            format!("{:.2}", run.scalar_mpairs_s),
-            format!("{:.2}", run.batched_mpairs_s),
-            format!("{}", run.index_ops),
-            format!("{}", run.naive_ops),
-        ]);
-        json_runs.push(json_object(&[
-            ("kind", json_str(run.kind)),
-            ("dims", format!("{}", run.dims)),
-            ("n", format!("{}", run.n)),
-            ("queries", format!("{}", run.queries)),
-            ("scalar_ms", format!("{:.4}", run.scalar_ms)),
-            ("batched_ms", format!("{:.4}", run.batched_ms)),
-            ("speedup", format!("{:.3}", run.speedup)),
-            ("scalar_mpairs_s", format!("{:.2}", run.scalar_mpairs_s)),
-            ("batched_mpairs_s", format!("{:.2}", run.batched_mpairs_s)),
-            ("index_ops", format!("{}", run.index_ops)),
-            ("naive_ops", format!("{}", run.naive_ops)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "kernels",
-        &[
-            "kind",
-            "dims",
-            "n",
-            "queries",
-            "scalar_ms",
-            "batched_ms",
-            "speedup",
-            "scalar_mpairs_s",
-            "batched_mpairs_s",
-            "index_ops",
-            "naive_ops",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("anti-correlated")),
-                ("queries", "64".into()),
-                ("seed", format!("{}", opt.seed)),
-                ("quick", format!("{}", opt.quick)),
-            ]),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_kernels", &json).unwrap();
-    println!("json written to {}", path.display());
-}
-
 /// One measured tracing-overhead run (see [`obs`]).
 pub struct ObsRun {
     /// Recorder mode: `"off"` (no recorder attached), `"null"` (a
@@ -1372,6 +1065,22 @@ pub struct ObsRun {
     pub events: u64,
     /// Events dropped on ring overflow (0 for off/null).
     pub dropped: u64,
+}
+
+impl ObsRun {
+    fn report(&self) -> Report {
+        row([
+            ("mode", text(self.mode)),
+            ("wall_ms", ms(self.wall_ms)),
+            (
+                "first_result_ms",
+                self.first_result_ms.map_or(Value::Absent, ms),
+            ),
+            ("results", Value::U64(self.results)),
+            ("events", Value::U64(self.events)),
+            ("dropped", Value::U64(self.dropped)),
+        ])
+    }
 }
 
 /// Ring capacity used by the `ring` leg — the recorder default, large
@@ -1392,18 +1101,38 @@ pub fn obs_overhead_gate(quick: bool) -> f64 {
 /// Tracing overhead: wall time and first-result latency of the reference
 /// progressive workload (anti-correlated, d = 3, σ = 0.1) with the
 /// recorder off, attached-but-null, and fully recording into a bounded
-/// ring. Writes `obs.csv` and machine-readable `BENCH_obs.json`; CI
-/// uploads the JSON next to the threads/ingest/fdom artifacts.
+/// ring. Writes `obs.csv` and `BENCH_obs.json`.
 ///
 /// **Gate**: the `ring` leg's wall time must stay within
 /// [`obs_overhead_gate`] of the `null` leg's — panics otherwise, so a
 /// regression that makes tracing expensive fails the build instead of
 /// silently taxing every traced session.
 pub fn obs(opt: &ExpOptions) {
-    let runs = obs_measurements(opt);
+    let (workload, runs) = obs_measurements(opt);
     let gate = obs_overhead_gate(opt.quick);
     assert_obs_overhead(&runs, gate);
-    write_obs_outputs(opt, &runs, gate);
+    emit_obs(opt, workload, &runs, gate);
+}
+
+/// Emits [`obs`]'s runs with an `overhead` object (the gate and the
+/// ring-vs-null and null-vs-off wall-time ratios, in percent).
+fn emit_obs(opt: &ExpOptions, workload: Report, runs: &[ObsRun], gate: f64) {
+    let null = obs_wall(runs, "null");
+    let pct = |over: f64, base: f64| Value::F64((over - base) / base * 100.0);
+    let overhead = row([
+        ("gate_pct", Value::F64(gate * 100.0)),
+        ("ring_vs_null_pct", pct(obs_wall(runs, "ring"), null)),
+        ("null_vs_off_pct", pct(null, obs_wall(runs, "off"))),
+    ]);
+    println!("tracing overhead: {}", overhead.to_json());
+    Record::new("obs", runs.iter().map(ObsRun::report).collect()).emit_bench(
+        opt,
+        [
+            ("workload", Value::Object(workload)),
+            ("overhead", Value::Object(overhead)),
+        ],
+        "runs",
+    );
 }
 
 fn obs_wall(runs: &[ObsRun], mode: &str) -> f64 {
@@ -1426,12 +1155,12 @@ fn assert_obs_overhead(runs: &[ObsRun], gate: f64) {
     );
 }
 
-/// The measured core of [`obs`], separated so tests can assert on the
-/// numbers (modes agree on results; the ring never drops) without
-/// re-running the sweep for the writer.
-pub fn obs_measurements(opt: &ExpOptions) -> Vec<ObsRun> {
+/// The measured core of [`obs`]: the workload it ran and one run per
+/// mode, separated so tests can assert on the numbers (modes agree on
+/// results; the ring never drops) without re-running the sweep for the
+/// writer.
+pub fn obs_measurements(opt: &ExpOptions) -> (Report, Vec<ObsRun>) {
     use progxe_obs::{NullRecorder, Recorder, RingRecorder};
-    use std::sync::Arc;
 
     let n = opt.pick_n(10_000);
     let dims = opt.pick_dims(3);
@@ -1448,17 +1177,11 @@ pub fn obs_measurements(opt: &ExpOptions) -> Vec<ObsRun> {
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
 
     let run_once = |recorder: Option<Arc<dyn Recorder>>| {
-        let mut session = ProgXe::new(config.clone())
+        let session = ProgXe::new(config.clone())
             .with_recorder(recorder)
             .open(&r, &t, &maps)
             .expect("valid configuration");
-        let mut first: Option<Duration> = None;
-        while let Some(event) = session.next_batch() {
-            if first.is_none() && !event.tuples.is_empty() {
-                first = Some(event.elapsed);
-            }
-        }
-        (first, session.finish())
+        drain(session, |_| {})
     };
 
     // Warm-up, discarded: first-touch page faults and lazy allocations
@@ -1492,94 +1215,11 @@ pub fn obs_measurements(opt: &ExpOptions) -> Vec<ObsRun> {
         }
         runs.push(best.expect("repeats >= 1"));
     }
-    runs
-}
-
-/// Renders + persists one set of [`ObsRun`]s (`obs.csv`,
-/// `BENCH_obs.json`).
-fn write_obs_outputs(opt: &ExpOptions, runs: &[ObsRun], gate: f64) {
-    let mut table = Table::new(&["mode", "wall", "first", "results", "events", "dropped"]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in runs {
-        table.row(vec![
-            run.mode.to_string(),
-            format!("{:.1}ms", run.wall_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.1}ms"))
-                .unwrap_or_else(|| "-".into()),
-            format!("{}", run.results),
-            format!("{}", run.events),
-            format!("{}", run.dropped),
-        ]);
-        rows.push(vec![
-            run.mode.to_string(),
-            format!("{:.3}", run.wall_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-            format!("{}", run.results),
-            format!("{}", run.events),
-            format!("{}", run.dropped),
-        ]);
-        json_runs.push(json_object(&[
-            ("mode", json_str(run.mode)),
-            ("wall_ms", format!("{:.3}", run.wall_ms)),
-            (
-                "first_result_ms",
-                run.first_result_ms
-                    .map(|v| format!("{v:.3}"))
-                    .unwrap_or_else(|| "null".into()),
-            ),
-            ("results", format!("{}", run.results)),
-            ("events", format!("{}", run.events)),
-            ("dropped", format!("{}", run.dropped)),
-        ]));
-    }
-    println!("{}", table.render());
-    let null = obs_wall(runs, "null");
-    let off = obs_wall(runs, "off");
-    let ring = obs_wall(runs, "ring");
-    let ring_pct = (ring - null) / null * 100.0;
-    let null_pct = (null - off) / off * 100.0;
-    println!(
-        "ring-vs-null overhead: {ring_pct:+.2}% (gate {:.0}%)",
-        gate * 100.0
-    );
-    let path = write_csv(
-        &opt.out,
-        "obs",
-        &[
-            "mode", "wall_ms", "first_ms", "results", "events", "dropped",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("anti-correlated")),
-                ("n", format!("{}", opt.pick_n(10_000))),
-                ("dims", format!("{}", opt.pick_dims(3))),
-                ("sigma", format!("{}", opt.sigma.unwrap_or(0.1))),
-                ("seed", format!("{}", opt.seed)),
-                ("ring_capacity", format!("{OBS_RING_CAPACITY}")),
-            ]),
-        ),
-        (
-            "overhead",
-            json_object(&[
-                ("gate_pct", format!("{:.1}", gate * 100.0)),
-                ("ring_vs_null_pct", format!("{ring_pct:.2}")),
-                ("null_vs_off_pct", format!("{null_pct:.2}")),
-            ]),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_obs", &json).unwrap();
-    println!("json written to {}", path.display());
+    let mut workload = workload_report("anti-correlated", n, dims, sigma);
+    workload
+        .push("ring_capacity", count(OBS_RING_CAPACITY))
+        .push("repeats", count(repeats));
+    (workload, runs)
 }
 
 /// Section III-B: the comparable-cell bound. For each new tuple, dominance
@@ -1590,14 +1230,6 @@ pub fn cellbound(opt: &ExpOptions) {
     let n = opt.pick_n(2000);
     let sigma = opt.sigma.unwrap_or(0.01);
     println!("== Section III-B: comparable-cell bound (N={n}, sigma={sigma}) ==");
-    let mut table = Table::new(&[
-        "d",
-        "k",
-        "cells k^d",
-        "bound k^d-(k-1)^d",
-        "measured avg",
-        "measured max",
-    ]);
     let mut rows = Vec::new();
     for dims in [2usize, 3, 4] {
         let w = workload(n, dims, Distribution::Independent, sigma, opt.seed);
@@ -1615,40 +1247,16 @@ pub fn cellbound(opt: &ExpOptions) {
             stats.comparable_cells_visited as f64 / attempts as f64
         };
         let naive = k.pow(dims as u32);
-        let bound = naive - (k - 1).pow(dims as u32);
-        table.row(vec![
-            format!("{dims}"),
-            format!("{k}"),
-            format!("{naive}"),
-            format!("{bound}"),
-            format!("{avg:.1}"),
-            format!("{}", stats.comparable_cells_max),
-        ]);
-        rows.push(vec![
-            format!("{dims}"),
-            format!("{k}"),
-            format!("{naive}"),
-            format!("{bound}"),
-            format!("{avg:.3}"),
-            format!("{}", stats.comparable_cells_max),
-        ]);
+        rows.push(row([
+            ("d", count(dims)),
+            ("k", Value::U64(k)),
+            ("naive_cells", Value::U64(naive)),
+            ("bound", Value::U64(naive - (k - 1).pow(dims as u32))),
+            ("measured_avg", Value::F64(avg)),
+            ("measured_max", Value::U64(stats.comparable_cells_max)),
+        ]));
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "cellbound",
-        &[
-            "d",
-            "k",
-            "naive_cells",
-            "bound",
-            "measured_avg",
-            "measured_max",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new("cellbound", rows).emit(opt);
 }
 
 /// Section VI-B's δ remark: sensitivity to grid granularity (input
@@ -1662,14 +1270,6 @@ pub fn ablate_delta(opt: &ExpOptions) {
     let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
-    let mut table = Table::new(&[
-        "p (input)",
-        "k (output)",
-        "regions",
-        "cells",
-        "total",
-        "t50",
-    ]);
     let mut rows = Vec::new();
     for p in [1usize, 2, 3, 4] {
         for k in [8usize, 16, 32] {
@@ -1683,33 +1283,17 @@ pub fn ablate_delta(opt: &ExpOptions) {
                 .iter()
                 .find(|rec| rec.cumulative * 2 >= sink.total())
                 .map(|rec| rec.elapsed);
-            table.row(vec![
-                format!("{p}"),
-                format!("{k}"),
-                format!("{}", stats.regions_created),
-                format!("{}", stats.cells_tracked),
-                fmt_duration(stats.total_time),
-                fmt_opt_duration(half),
-            ]);
-            rows.push(vec![
-                format!("{p}"),
-                format!("{k}"),
-                format!("{}", stats.regions_created),
-                format!("{}", stats.cells_tracked),
-                format!("{}", stats.total_time.as_micros()),
-                half.map(|d| d.as_micros().to_string()).unwrap_or_default(),
-            ]);
+            rows.push(row([
+                ("p", count(p)),
+                ("k", count(k)),
+                ("regions", count(stats.regions_created)),
+                ("cells", count(stats.cells_tracked)),
+                ("total_ms", Value::DurationMs(stats.total_time)),
+                ("t50_ms", opt_ms(half)),
+            ]));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "ablate_delta",
-        &["p", "k", "regions", "cells", "total_us", "t50_us"],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new("ablate_delta", rows).emit(opt);
 }
 
 /// Section VI-B's overhead claim: "the overhead incurred due to ordering is
@@ -1720,7 +1304,6 @@ pub fn ablate_order(opt: &ExpOptions) {
     let dims = opt.pick_dims(4);
     let sigma = opt.sigma.unwrap_or(0.001);
     println!("== Ablation: ordering policy (N={n}, d={dims}, sigma={sigma}) ==");
-    let mut table = Table::new(&["distribution", "policy", "results", "first", "t50", "total"]);
     let mut rows = Vec::new();
     for dist in Distribution::ALL {
         let w = workload(n, dims, dist, sigma, opt.seed);
@@ -1742,44 +1325,17 @@ pub fn ablate_order(opt: &ExpOptions) {
                 total_time: stats.total_time,
                 false_positives: 0,
             };
-            table.row(vec![
-                dist.name().into(),
-                name.into(),
-                format!("{}", run.results),
-                fmt_opt_duration(run.first_result()),
-                fmt_opt_duration(run.time_to_fraction(0.5)),
-                fmt_duration(run.total_time),
-            ]);
-            rows.push(vec![
-                dist.name().to_string(),
-                name.to_string(),
-                format!("{}", run.results),
-                run.first_result()
-                    .map(|d| d.as_micros().to_string())
-                    .unwrap_or_default(),
-                run.time_to_fraction(0.5)
-                    .map(|d| d.as_micros().to_string())
-                    .unwrap_or_default(),
-                format!("{}", run.total_time.as_micros()),
-            ]);
+            rows.push(row([
+                ("distribution", text(dist.name())),
+                ("policy", text(name)),
+                ("results", Value::U64(run.results)),
+                ("first_ms", opt_ms(run.first_result())),
+                ("t50_ms", opt_ms(run.time_to_fraction(0.5))),
+                ("total_ms", Value::DurationMs(run.total_time)),
+            ]));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "ablate_order",
-        &[
-            "distribution",
-            "policy",
-            "results",
-            "first_us",
-            "t50_us",
-            "total_us",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new("ablate_order", rows).emit(opt);
 }
 
 /// Section VII's claim, quantified: SSMJ's batch-1 results are not final
@@ -1789,40 +1345,25 @@ pub fn ssmj_soundness(opt: &ExpOptions) {
     let n = opt.pick_n(1500);
     let sigma = opt.sigma.unwrap_or(0.01);
     println!("== SSMJ batch-1 soundness under maps (N={n}, sigma={sigma}) ==");
-    let mut table = Table::new(&["distribution", "d", "batch1", "false positives", "final"]);
     let mut rows = Vec::new();
     for dist in Distribution::ALL {
         for dims in [2usize, 3, 4] {
             let w = workload(n, dims, dist, sigma, opt.seed);
             let run = run_algo(AlgoKind::Ssmj, &w);
-            let batch1 = run.records.first().map(|r| r.cumulative).unwrap_or(0);
-            table.row(vec![
-                dist.name().into(),
-                format!("{dims}"),
-                format!("{batch1}"),
-                format!("{}", run.false_positives),
-                format!("{}", run.results - run.false_positives),
-            ]);
-            rows.push(vec![
-                dist.name().to_string(),
-                format!("{dims}"),
-                format!("{batch1}"),
-                format!("{}", run.false_positives),
-                format!("{}", run.results - run.false_positives),
-            ]);
+            rows.push(row([
+                ("distribution", text(dist.name())),
+                ("d", count(dims)),
+                (
+                    "batch1",
+                    Value::U64(run.records.first().map_or(0, |r| r.cumulative)),
+                ),
+                ("false_positives", Value::U64(run.false_positives)),
+                ("final", Value::U64(run.results - run.false_positives)),
+            ]));
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "ssmj_soundness",
-        &["distribution", "d", "batch1", "false_positives", "final"],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
+    Record::new("ssmj_soundness", rows).emit(opt);
 }
-
 /// One measured serving load point (see [`serving`]).
 pub struct ServingRun {
     /// Simulated concurrent clients, each running one query over its own
@@ -1843,6 +1384,26 @@ pub struct ServingRun {
     pub first_p99_ms: f64,
 }
 
+impl ServingRun {
+    fn report(&self) -> Report {
+        row([
+            ("clients", count(self.clients)),
+            ("queries_ok", Value::U64(self.queries_ok)),
+            ("rejected", Value::U64(self.rejected)),
+            ("elapsed_ms", ms(self.elapsed_ms)),
+            ("qps", Value::F64(self.qps)),
+            ("first_result_p50_ms", ms(self.first_p50_ms)),
+            ("first_result_p99_ms", ms(self.first_p99_ms)),
+        ])
+    }
+}
+
+/// Engine worker threads shared by every session of a serving load point.
+const SERVING_ENGINE_THREADS: usize = 2;
+
+/// Rows of the streaming catalog every subscription query runs over.
+const SUBSCRIPTION_CATALOG_ROWS: usize = 60;
+
 /// Serving load generator: spins up the TCP server from `crates/server`
 /// over a synthetic anti-correlated catalog, then hits it with 100–1000
 /// simulated clients (one OS thread + one connection each, one query per
@@ -1850,19 +1411,43 @@ pub struct ServingRun {
 /// result. A second sweep measures protocol-v2 subscriptions: standing
 /// streaming queries fed over the wire, reporting push-to-update latency
 /// at 100+ concurrent subscribers. Writes `serving.csv`,
-/// `serving_subscriptions.csv`, and machine-readable `BENCH_serving.json`
-/// (one-shot `points` plus a `subscriptions` section); CI runs the
-/// `--quick` points (100 clients, 100 subscribers) as a smoke and uploads
-/// the JSON next to the other BENCH artifacts.
+/// `serving_subscriptions.csv`, and `BENCH_serving.json` (one-shot
+/// `points` and their `workload`, plus `subscriptions` and their
+/// `subscription_workload`); CI runs the `--quick` points (100 clients,
+/// 100 subscribers) as a smoke.
 pub fn serving(opt: &ExpOptions) {
-    let runs = serving_measurements(opt);
-    let subs = subscription_measurements(opt);
-    write_serving_outputs(opt, &runs, &subs);
+    emit_serving(
+        opt,
+        serving_measurements(opt),
+        subscription_measurements(opt),
+    );
+}
+
+/// Emits both serving sweeps, each as the workload it ran plus its runs.
+fn emit_serving(
+    opt: &ExpOptions,
+    (workload, runs): (Report, Vec<ServingRun>),
+    (sub_workload, subs): (Report, Vec<SubscriptionRun>),
+) {
+    let subs = Record::new(
+        "serving_subscriptions",
+        subs.iter().map(SubscriptionRun::report).collect(),
+    );
+    subs.emit(opt);
+    Record::new("serving", runs.iter().map(ServingRun::report).collect()).emit_bench(
+        opt,
+        [
+            ("workload", Value::Object(workload)),
+            ("subscription_workload", Value::Object(sub_workload)),
+            ("subscriptions", Value::List(subs.rows)),
+        ],
+        "points",
+    );
 }
 
 /// The measured core of [`serving`] at the default sweep sizes: 100
 /// clients in `--quick` mode, 100/250/500/1000 otherwise.
-pub fn serving_measurements(opt: &ExpOptions) -> Vec<ServingRun> {
+pub fn serving_measurements(opt: &ExpOptions) -> (Report, Vec<ServingRun>) {
     let sweep: &[usize] = if opt.quick {
         &[100]
     } else {
@@ -1876,7 +1461,7 @@ pub fn serving_measurements(opt: &ExpOptions) -> Vec<ServingRun> {
 /// The measured subscription core of [`serving`]: 100 subscribers in
 /// `--quick` mode, 100/250 otherwise, each pushing `pick_n(200)` rows per
 /// source in 25-row batches.
-pub fn subscription_measurements(opt: &ExpOptions) -> Vec<SubscriptionRun> {
+pub fn subscription_measurements(opt: &ExpOptions) -> (Report, Vec<SubscriptionRun>) {
     let sweep: &[usize] = if opt.quick { &[100] } else { &[100, 250] };
     let rows = opt.pick_n(200);
     let dims = opt.pick_dims(2);
@@ -1884,8 +1469,9 @@ pub fn subscription_measurements(opt: &ExpOptions) -> Vec<SubscriptionRun> {
 }
 
 /// Runs one load point per entry in `sweep` against a fresh server (port
-/// 0, session cap = client count, 2 engine worker threads shared by every
-/// session). Split from [`serving_measurements`] so tests can drive a tiny
+/// 0, session cap = client count, `SERVING_ENGINE_THREADS` engine
+/// workers shared by every session) and returns the workload it ran with
+/// the runs. Split from [`serving_measurements`] so tests can drive a tiny
 /// sweep without the 100-client default. Panics — failing CI — on any
 /// connection, query, or cancellation anomaly.
 pub fn serving_sweep(
@@ -1893,7 +1479,7 @@ pub fn serving_sweep(
     sweep: &[usize],
     rows: usize,
     dims: usize,
-) -> Vec<ServingRun> {
+) -> (Report, Vec<ServingRun>) {
     use progxe_query::{Engine, QueryRunner};
     use progxe_server::{synthetic, Server, ServerConfig};
     use std::time::Instant;
@@ -1909,7 +1495,7 @@ pub fn serving_sweep(
         let runner = QueryRunner::new(synthetic::catalog(rows, dims, opt.seed));
         let handle = Server::start(
             runner,
-            Engine::progxe_threads(2),
+            Engine::progxe_threads(SERVING_ENGINE_THREADS),
             ServerConfig {
                 max_sessions: clients,
             },
@@ -1976,7 +1562,13 @@ pub fn serving_sweep(
         );
         out.push(run);
     }
-    out
+    let workload = row([
+        ("distribution", text("anti-correlated")),
+        ("n", count(rows)),
+        ("dims", count(dims)),
+        ("engine_threads", count(SERVING_ENGINE_THREADS)),
+    ]);
+    (workload, out)
 }
 
 /// One measured subscription load point (see [`serving`]).
@@ -1999,21 +1591,35 @@ pub struct SubscriptionRun {
     pub update_p99_ms: f64,
 }
 
+impl SubscriptionRun {
+    fn report(&self) -> Report {
+        row([
+            ("subscribers", count(self.subscribers)),
+            ("pushes", Value::U64(self.pushes)),
+            ("updates", Value::U64(self.updates)),
+            ("results", Value::U64(self.results)),
+            ("elapsed_ms", ms(self.elapsed_ms)),
+            ("push_to_update_p50_ms", ms(self.update_p50_ms)),
+            ("push_to_update_p99_ms", ms(self.update_p99_ms)),
+        ])
+    }
+}
+
 /// Runs one subscription load point per entry in `sweep`: every
 /// subscriber connects v2, opens a standing query, and replays a
 /// seed-distinct [`progxe_server::synthetic::arrival_feed`] of `rows` rows per source in
 /// `batch`-row pushes, draining `Update`s on a second thread (the
-/// [`progxe_server::Client::into_split`] shape). Push-to-update latency
-/// attributes each update to the most recent push on its connection.
-/// Panics — failing CI — on any connection, frame, or cancellation
-/// anomaly.
+/// [`progxe_server::Client::into_split`] shape), and returns the workload
+/// it ran with the runs. Push-to-update latency attributes each update to
+/// the most recent push on its connection. Panics — failing CI — on any
+/// connection, frame, or cancellation anomaly.
 pub fn subscription_sweep(
     opt: &ExpOptions,
     sweep: &[usize],
     rows: usize,
     dims: usize,
     batch: usize,
-) -> Vec<SubscriptionRun> {
+) -> (Report, Vec<SubscriptionRun>) {
     use progxe_query::{Engine, QueryRunner};
     use progxe_server::{synthetic, Client, Server, ServerConfig, ServerFrame};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2028,10 +1634,14 @@ pub fn subscription_sweep(
     let sql = Arc::new(synthetic::query_sql(dims));
     let mut out = Vec::new();
     for &subscribers in sweep {
-        let runner = QueryRunner::new(synthetic::streaming_catalog(60, dims, opt.seed));
+        let runner = QueryRunner::new(synthetic::streaming_catalog(
+            SUBSCRIPTION_CATALOG_ROWS,
+            dims,
+            opt.seed,
+        ));
         let handle = Server::start(
             runner,
-            Engine::progxe_threads(2),
+            Engine::progxe_threads(SERVING_ENGINE_THREADS),
             ServerConfig {
                 max_sessions: subscribers,
             },
@@ -2146,7 +1756,15 @@ pub fn subscription_sweep(
         );
         out.push(run);
     }
-    out
+    let workload = row([
+        ("distribution", text("anti-correlated")),
+        ("catalog_n", count(SUBSCRIPTION_CATALOG_ROWS)),
+        ("rows_per_source", count(rows)),
+        ("batch", count(batch)),
+        ("dims", count(dims)),
+        ("engine_threads", count(SERVING_ENGINE_THREADS)),
+    ]);
+    (workload, out)
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -2154,135 +1772,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
-}
-
-/// Renders + persists one set of [`ServingRun`]s and [`SubscriptionRun`]s
-/// (`serving.csv`, `serving_subscriptions.csv`, `BENCH_serving.json`).
-/// Split from [`serving`] so tests can assert on the measurements and
-/// then exercise the writer without re-running the sweeps.
-fn write_serving_outputs(opt: &ExpOptions, runs: &[ServingRun], sub_runs: &[SubscriptionRun]) {
-    let mut table = Table::new(&["clients", "qps", "first p50", "first p99", "wall"]);
-    let mut rows = Vec::new();
-    let mut json_points = Vec::new();
-    for run in runs {
-        table.row(vec![
-            format!("{}", run.clients),
-            format!("{:.0}", run.qps),
-            format!("{:.1}ms", run.first_p50_ms),
-            format!("{:.1}ms", run.first_p99_ms),
-            format!("{:.0}ms", run.elapsed_ms),
-        ]);
-        rows.push(vec![
-            format!("{}", run.clients),
-            format!("{}", run.queries_ok),
-            format!("{}", run.rejected),
-            format!("{:.3}", run.elapsed_ms),
-            format!("{:.3}", run.qps),
-            format!("{:.3}", run.first_p50_ms),
-            format!("{:.3}", run.first_p99_ms),
-        ]);
-        json_points.push(json_object(&[
-            ("clients", format!("{}", run.clients)),
-            ("queries_ok", format!("{}", run.queries_ok)),
-            ("rejected", format!("{}", run.rejected)),
-            ("elapsed_ms", format!("{:.3}", run.elapsed_ms)),
-            ("qps", format!("{:.3}", run.qps)),
-            ("first_result_p50_ms", format!("{:.3}", run.first_p50_ms)),
-            ("first_result_p99_ms", format!("{:.3}", run.first_p99_ms)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "serving",
-        &[
-            "clients",
-            "queries_ok",
-            "rejected",
-            "elapsed_ms",
-            "qps",
-            "first_p50_ms",
-            "first_p99_ms",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-
-    let mut sub_table = Table::new(&[
-        "subscribers",
-        "pushes",
-        "updates",
-        "update p50",
-        "update p99",
-        "wall",
-    ]);
-    let mut sub_rows = Vec::new();
-    let mut sub_json_points = Vec::new();
-    for run in sub_runs {
-        sub_table.row(vec![
-            format!("{}", run.subscribers),
-            format!("{}", run.pushes),
-            format!("{}", run.updates),
-            format!("{:.1}ms", run.update_p50_ms),
-            format!("{:.1}ms", run.update_p99_ms),
-            format!("{:.0}ms", run.elapsed_ms),
-        ]);
-        sub_rows.push(vec![
-            format!("{}", run.subscribers),
-            format!("{}", run.pushes),
-            format!("{}", run.updates),
-            format!("{}", run.results),
-            format!("{:.3}", run.elapsed_ms),
-            format!("{:.3}", run.update_p50_ms),
-            format!("{:.3}", run.update_p99_ms),
-        ]);
-        sub_json_points.push(json_object(&[
-            ("subscribers", format!("{}", run.subscribers)),
-            ("pushes", format!("{}", run.pushes)),
-            ("updates", format!("{}", run.updates)),
-            ("results", format!("{}", run.results)),
-            ("elapsed_ms", format!("{:.3}", run.elapsed_ms)),
-            ("push_to_update_p50_ms", format!("{:.3}", run.update_p50_ms)),
-            ("push_to_update_p99_ms", format!("{:.3}", run.update_p99_ms)),
-        ]));
-    }
-    if !sub_runs.is_empty() {
-        println!("{}", sub_table.render());
-        let path = write_csv(
-            &opt.out,
-            "serving_subscriptions",
-            &[
-                "subscribers",
-                "pushes",
-                "updates",
-                "results",
-                "elapsed_ms",
-                "update_p50_ms",
-                "update_p99_ms",
-            ],
-            &sub_rows,
-        )
-        .unwrap();
-        println!("rows written to {}", path.display());
-    }
-
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("anti-correlated")),
-                ("n", format!("{}", opt.pick_n(800))),
-                ("dims", format!("{}", opt.pick_dims(2))),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("engine_threads", "2".into()),
-        ("points", format!("[{}]", json_points.join(", "))),
-        ("subscriptions", format!("[{}]", sub_json_points.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_serving", &json).unwrap();
-    println!("json written to {}", path.display());
 }
 
 #[cfg(test)]
@@ -2295,6 +1784,28 @@ mod tests {
             out: std::env::temp_dir().join(dir),
             ..ExpOptions::default()
         }
+    }
+
+    /// Reads `BENCH_<stem>.json`, checking it leads with the `host` object
+    /// and carries every key in `keys`.
+    fn read_bench(opt: &ExpOptions, stem: &str, keys: &[&str]) -> String {
+        let json = std::fs::read_to_string(opt.out.join(format!("BENCH_{stem}.json"))).unwrap();
+        let host = format!(
+            "{{\"host\": {{\"hardware_threads\": {}, ",
+            hardware_threads()
+        );
+        assert!(
+            json.starts_with(&host),
+            "BENCH_{stem}.json lacks host: {json}"
+        );
+        assert!(json.contains("\"quick\": true, \"seed\": "), "{json}");
+        for key in keys {
+            assert!(
+                json.contains(&format!("\"{key}\"")),
+                "BENCH_{stem}.json missing {key}: {json}"
+            );
+        }
+        json
     }
 
     #[test]
@@ -2331,7 +1842,8 @@ mod tests {
         // Tiny sweep (4 clients, 120-row tables) so the debug-mode test
         // stays fast; the CI smoke runs the real 100-client point via
         // `figures serving --quick` in release mode.
-        let runs = serving_sweep(&opt, &[4], 120, 2);
+        let (workload, runs) = serving_sweep(&opt, &[4], 120, 2);
+        assert_eq!(workload.get("n"), Some(&Value::U64(120)));
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
         assert_eq!(run.queries_ok, 4);
@@ -2345,7 +1857,7 @@ mod tests {
         );
         // Tiny subscription point for the same reason (8 subscribers, 60
         // rows/source); the CI smoke runs 100 via `figures serving --quick`.
-        let sub_runs = subscription_sweep(&opt, &[8], 60, 2, 20);
+        let (sub_workload, sub_runs) = subscription_sweep(&opt, &[8], 60, 2, 20);
         assert_eq!(sub_runs.len(), 1);
         let sub = &sub_runs[0];
         assert_eq!(sub.subscribers, 8);
@@ -2357,26 +1869,33 @@ mod tests {
             sub.update_p99_ms,
             sub.update_p50_ms
         );
-        write_serving_outputs(&opt, &runs, &sub_runs);
+        emit_serving(&opt, (workload, runs), (sub_workload, sub_runs));
         assert!(opt.out.join("serving.csv").exists());
         assert!(opt.out.join("serving_subscriptions.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_serving.json")).unwrap();
-        for key in [
-            "\"clients\"",
-            "\"qps\"",
-            "\"first_result_p50_ms\"",
-            "\"first_result_p99_ms\"",
-            "\"points\"",
-            "\"subscriptions\"",
-            "\"subscribers\"",
-            "\"push_to_update_p50_ms\"",
-            "\"push_to_update_p99_ms\"",
-        ] {
-            assert!(
-                json.contains(key),
-                "BENCH_serving.json missing {key}: {json}"
-            );
-        }
+        let json = read_bench(
+            &opt,
+            "serving",
+            &[
+                "clients",
+                "qps",
+                "first_result_p50_ms",
+                "first_result_p99_ms",
+                "points",
+                "subscriptions",
+                "subscribers",
+                "push_to_update_p50_ms",
+                "push_to_update_p99_ms",
+            ],
+        );
+        // The file describes the sweeps that ran, not the CLI defaults.
+        assert!(
+            json.contains("\"workload\": {\"distribution\": \"anti-correlated\", \"n\": 120,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"rows_per_source\": 60, \"batch\": 20,"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -2388,7 +1907,7 @@ mod tests {
         // batch engine's, which cannot start until the last batch arrived.
         // Asserted on the measurements; the writer then runs on the same
         // runs (no second sweep).
-        let runs = ingest_measurements(&opt);
+        let (workload, runs) = ingest_measurements(&opt);
         let mut trickle_seen = 0;
         for run in &runs {
             assert!(run.results > 0, "{} emitted nothing", run.schedule);
@@ -2410,52 +1929,63 @@ mod tests {
         }
         assert!(trickle_seen >= 1, "the trickle leg must run");
 
-        write_ingest_outputs(&opt, &runs);
-        assert!(opt.out.join("ingest.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_ingest.json")).unwrap();
-        for key in [
-            "\"workload\"",
-            "\"schedule\"",
-            "\"interval_ms\"",
-            "\"first_result_ms\"",
-            "\"batch_first_result_ms\"",
-            "\"trickle\"",
-            "\"uniform-shuffle\"",
-        ] {
-            assert!(json.contains(key), "BENCH_ingest.json missing {key}");
-        }
+        emit_runs(&opt, "ingest", workload, &runs, IngestRun::report);
+        let json = read_bench(
+            &opt,
+            "ingest",
+            &[
+                "workload",
+                "schedule",
+                "interval_ms",
+                "first_result_ms",
+                "batch_first_result_ms",
+                "trickle",
+                "uniform-shuffle",
+            ],
+        );
+        // One field list: the CSV header is the JSON rows' keys, in order.
+        let csv = std::fs::read_to_string(opt.out.join("ingest.csv")).unwrap();
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        let first_row = json.split("\"runs\": [{").nth(1).unwrap();
+        let first_row = first_row.split('}').next().unwrap();
+        let keys: Vec<&str> = first_row
+            .split(", ")
+            .map(|field| field.split(':').next().unwrap().trim_matches('"'))
+            .collect();
+        assert_eq!(header, keys);
     }
 
     #[test]
     fn kernels_quick_passes_gates_and_writes_json() {
         let opt = quick_opts("progxe-kernels");
-        let runs = kernel_measurements(&opt);
+        let (workload, runs) = kernel_measurements(&opt);
         assert_kernel_gates(&runs, true);
         assert!(runs.iter().any(|r| r.kind == "mask"), "mask sweep missing");
         assert!(
             runs.iter().any(|r| r.kind == "blocker"),
             "blocker sweep missing"
         );
-        write_kernel_outputs(&opt, &runs);
+        emit_runs(&opt, "kernels", workload, &runs, KernelRun::report);
         assert!(opt.out.join("kernels.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_kernels.json")).unwrap();
-        for key in [
-            "\"kind\"",
-            "\"speedup\"",
-            "\"batched_mpairs_s\"",
-            "\"index_ops\"",
-            "\"naive_ops\"",
-            "\"mask\"",
-            "\"blocker\"",
-        ] {
-            assert!(json.contains(key), "BENCH_kernels.json missing {key}");
-        }
+        read_bench(
+            &opt,
+            "kernels",
+            &[
+                "kind",
+                "speedup",
+                "batched_mpairs_s",
+                "index_ops",
+                "naive_ops",
+                "mask",
+                "blocker",
+            ],
+        );
     }
 
     #[test]
     fn fdom_quick_shrinks_monotonically_and_writes_json() {
         let opt = quick_opts("progxe-fdom");
-        let runs = fdom_measurements(&opt);
+        let (workload, runs) = fdom_measurements(&opt);
         for dist in Distribution::ALL {
             let of_dist: Vec<&FdomRun> = runs
                 .iter()
@@ -2494,26 +2024,27 @@ mod tests {
             );
         }
 
-        write_fdom_outputs(&opt, &runs);
+        emit_runs(&opt, "fdom", workload, &runs, FdomRun::report);
         assert!(opt.out.join("fdom.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_fdom.json")).unwrap();
-        for key in [
-            "\"workload\"",
-            "\"tightness\"",
-            "\"results\"",
-            "\"shrinkage\"",
-            "\"fdom_filtered\"",
-            "\"first_result_ms\"",
-            "\"wall_ms\"",
-        ] {
-            assert!(json.contains(key), "BENCH_fdom.json missing {key}");
-        }
+        read_bench(
+            &opt,
+            "fdom",
+            &[
+                "workload",
+                "tightness",
+                "results",
+                "shrinkage",
+                "fdom_filtered",
+                "first_result_ms",
+                "wall_ms",
+            ],
+        );
     }
 
     #[test]
     fn obs_quick_measures_all_modes_and_writes_json() {
         let opt = quick_opts("progxe-obs");
-        let runs = obs_measurements(&opt);
+        let (workload, runs) = obs_measurements(&opt);
         assert_eq!(runs.len(), 3);
         let results: Vec<u64> = runs.iter().map(|r| r.results).collect();
         assert!(
@@ -2533,26 +2064,27 @@ mod tests {
         // overhead gate itself is exercised by `figures -- obs` in CI; at
         // smoke-test scale (parallel test threads, ~ms walls) the ratio is
         // pure noise, so it is not asserted here.
-        write_obs_outputs(&opt, &runs, obs_overhead_gate(true));
+        emit_obs(&opt, workload, &runs, obs_overhead_gate(true));
         assert!(opt.out.join("obs.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_obs.json")).unwrap();
-        for key in [
-            "\"workload\"",
-            "\"ring_capacity\"",
-            "\"overhead\"",
-            "\"gate_pct\"",
-            "\"ring_vs_null_pct\"",
-            "\"mode\"",
-            "\"wall_ms\"",
-            "\"first_result_ms\"",
-            "\"events\"",
-            "\"dropped\"",
-            "\"off\"",
-            "\"null\"",
-            "\"ring\"",
-        ] {
-            assert!(json.contains(key), "BENCH_obs.json missing {key}");
-        }
+        read_bench(
+            &opt,
+            "obs",
+            &[
+                "workload",
+                "ring_capacity",
+                "overhead",
+                "gate_pct",
+                "ring_vs_null_pct",
+                "mode",
+                "wall_ms",
+                "first_result_ms",
+                "events",
+                "dropped",
+                "off",
+                "null",
+                "ring",
+            ],
+        );
     }
 
     #[test]
@@ -2560,18 +2092,19 @@ mod tests {
         let opt = quick_opts("progxe-threads");
         threads(&opt);
         assert!(opt.out.join("threads.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_threads.json")).unwrap();
         // Sanity over the contract the CI artifact consumers rely on.
-        for key in [
-            "\"workload\"",
-            "\"threads\"",
-            "\"wall_ms\"",
-            "\"first_result_ms\"",
-            "\"prefilter_min_pairs\"",
-            "\"inline-nofilter\"",
-            "\"pooled\"",
-        ] {
-            assert!(json.contains(key), "BENCH_threads.json missing {key}");
-        }
+        read_bench(
+            &opt,
+            "threads",
+            &[
+                "workload",
+                "threads",
+                "wall_ms",
+                "first_result_ms",
+                "prefilter_min_pairs",
+                "inline-nofilter",
+                "pooled",
+            ],
+        );
     }
 }

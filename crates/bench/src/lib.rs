@@ -7,17 +7,15 @@
 //! seconds while preserving every *shape* the paper reports — who produces
 //! results first, who wins by orders of magnitude, where the crossovers
 //! fall. Every experiment accepts `--n/--sigma/--dims` overrides, so
-//! paper-scale runs are one flag away.
-//!
-//! See EXPERIMENTS.md for the experiment-by-experiment comparison.
+//! paper-scale runs are one flag away. [`figures`] maps each paper artifact
+//! to its experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod microbench;
-pub mod report;
+mod report;
 pub mod runners;
 
-pub use report::{write_csv, Table};
 pub use runners::{default_config_for, run_algo, AlgoKind, RunResult};

@@ -1,130 +1,154 @@
-//! Output plumbing: CSV files and aligned text tables.
+//! Output plumbing: every experiment builds its rows once, as
+//! [`Report`]s, and [`Record`] renders them as an aligned console table, a
+//! CSV file and — for the perf experiments — a `BENCH_<stem>.json`
+//! document, all through `progxe_obs`'s one value encoding.
 
+use crate::figures::ExpOptions;
+use progxe_obs::{Report, Value};
 use std::fs;
-use std::io::Write;
-use std::path::Path;
+use std::path::PathBuf;
 
-/// Writes CSV rows (first row = header) to `dir/name.csv`.
-pub fn write_csv(
-    dir: &Path,
-    name: &str,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = std::io::BufWriter::new(fs::File::create(&path)?);
-    writeln!(f, "{}", header.join(","))?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
+/// Builds an untitled report from `(name, value)` pairs, in order.
+pub(crate) fn row<const N: usize>(fields: [(&str, Value); N]) -> Report {
+    let mut report = Report::new("");
+    for (name, value) in fields {
+        report.push(name, value);
     }
-    f.flush()?;
-    Ok(path)
+    report
 }
 
-/// Writes a pre-rendered JSON document to `dir/name.json` (no external
-/// JSON crates: callers build the string with the helpers below). Used for
-/// the machine-readable `BENCH_*.json` artifacts CI uploads so the perf
-/// trajectory is trackable across PRs.
-pub fn write_json(dir: &Path, name: &str, json: &str) -> std::io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    fs::write(&path, json)?;
-    Ok(path)
+/// Hardware threads available to this process.
+pub(crate) fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Renders a JSON object from key → already-rendered-value pairs.
-pub fn json_object(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// Renders a JSON string literal (the benches only emit identifier-like
-/// strings; quotes/backslashes are escaped for safety, control characters
-/// do not occur).
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// A simple aligned text table for stdout reporting.
-#[derive(Debug, Default)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (must match the header arity).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// All data rows (for CSV reuse).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Renders with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..cols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                let cell = &cells[i];
-                line.push_str(cell);
-                line.push_str(&" ".repeat(widths[i].saturating_sub(cell.len())));
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a duration in adaptive units (µs/ms/s).
-pub fn fmt_duration(d: std::time::Duration) -> String {
-    let us = d.as_micros();
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.2}ms", us as f64 / 1_000.0)
+/// The `host` object every BENCH file leads with.
+fn host(opt: &ExpOptions) -> Report {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
     } else {
-        format!("{:.3}s", us as f64 / 1_000_000.0)
+        "release"
+    };
+    row([
+        ("hardware_threads", Value::U64(hardware_threads() as u64)),
+        ("profile", Value::Text(profile.into())),
+        ("quick", Value::Bool(opt.quick)),
+        ("seed", Value::U64(opt.seed)),
+    ])
+}
+
+/// A CSV cell: the JSON encoding, with text unquoted and absent values
+/// left empty.
+fn csv_cell(value: &Value) -> String {
+    match value {
+        Value::Text(s) => s.clone(),
+        Value::Absent => String::new(),
+        other => other.to_json(),
     }
 }
 
-/// Formats an optional duration; `-` when absent.
-pub fn fmt_opt_duration(d: Option<std::time::Duration>) -> String {
-    d.map(fmt_duration).unwrap_or_else(|| "-".to_string())
+/// One table of an experiment's output: a row list whose keys are the
+/// table's columns, the CSV header and the BENCH rows' JSON keys.
+pub(crate) struct Record {
+    stem: &'static str,
+    /// The rows; every row carries the same keys in the same order.
+    pub(crate) rows: Vec<Report>,
+}
+
+impl Record {
+    /// A record written to `<stem>.csv` (and `BENCH_<stem>.json`).
+    pub(crate) fn new(stem: &'static str, rows: Vec<Report>) -> Self {
+        Record { stem, rows }
+    }
+
+    /// The column names: the first row's keys, checked against every row.
+    fn header(&self) -> Vec<&str> {
+        let header: Vec<&str> = self.rows.first().map_or(Vec::new(), |r| {
+            r.fields().iter().map(|(k, _)| k.as_str()).collect()
+        });
+        for row in &self.rows {
+            assert!(
+                row.fields().iter().map(|(k, _)| k).eq(&header),
+                "{}: every row must carry the same keys",
+                self.stem
+            );
+        }
+        header
+    }
+
+    fn cells(&self, cell: fn(&Value) -> String) -> Vec<Vec<String>> {
+        let cells = |r: &Report| r.fields().iter().map(|(_, v)| cell(v)).collect();
+        self.rows.iter().map(cells).collect()
+    }
+
+    /// The rows as an aligned text table.
+    fn table(&self) -> String {
+        let mut lines = vec![self.header().into_iter().map(String::from).collect()];
+        lines.extend(self.cells(|v| v.to_string()));
+        let mut widths = vec![0; lines[0].len()];
+        for line in &lines {
+            for (width, cell) in widths.iter_mut().zip(line) {
+                *width = (*width).max(cell.chars().count());
+            }
+        }
+        let mut rendered: Vec<String> = lines
+            .iter()
+            .map(|cells| {
+                let padded: Vec<String> = cells
+                    .iter()
+                    .zip(&widths)
+                    .map(|(cell, &w)| format!("{cell:<w$}"))
+                    .collect();
+                padded.join("  ").trim_end().to_string()
+            })
+            .collect();
+        let rule = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+        rendered.insert(1, "-".repeat(rule));
+        rendered.join("\n") + "\n"
+    }
+
+    /// Writes `<out>/<stem>.csv`: the keys as the header, one line per row.
+    pub(crate) fn write_csv(&self, opt: &ExpOptions) {
+        let mut csv = self.header().join(",") + "\n";
+        for row in self.cells(csv_cell) {
+            csv.push_str(&(row.join(",") + "\n"));
+        }
+        let path = write(opt, &format!("{}.csv", self.stem), &csv);
+        println!("rows written to {}", path.display());
+    }
+
+    /// Prints the table and writes the CSV.
+    pub(crate) fn emit(&self, opt: &ExpOptions) {
+        println!("{}", self.table());
+        self.write_csv(opt);
+    }
+
+    /// [`emit`](Self::emit), then writes `<out>/BENCH_<stem>.json`: the
+    /// `host` object, `fields`, and the rows as a list under `key`.
+    pub(crate) fn emit_bench<'a>(
+        self,
+        opt: &ExpOptions,
+        fields: impl IntoIterator<Item = (&'a str, Value)>,
+        key: &str,
+    ) {
+        self.emit(opt);
+        let mut doc = row([("host", Value::Object(host(opt)))]);
+        for (name, value) in fields {
+            doc.push(name, value);
+        }
+        doc.push(key, Value::List(self.rows));
+        let path = write(opt, &format!("BENCH_{}.json", self.stem), &doc.to_json());
+        println!("json written to {}", path.display());
+    }
+}
+
+/// Writes `contents` to `<out>/<name>`, creating the directory; panics on
+/// I/O errors (an experiment that cannot record its output has failed).
+fn write(opt: &ExpOptions, name: &str, contents: &str) -> PathBuf {
+    fs::create_dir_all(&opt.out).expect("create the output directory");
+    let path = opt.out.join(name);
+    fs::write(&path, contents).expect("write the output file");
+    path
 }
 
 #[cfg(test)]
@@ -132,49 +156,58 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn record() -> Record {
+        Record::new(
+            "test",
+            vec![
+                row([
+                    ("algo", Value::Text("ProgXe".into())),
+                    ("first_ms", Value::DurationMs(Duration::from_micros(1500))),
+                ]),
+                row([
+                    ("algo", Value::Text("SSMJ".into())),
+                    ("first_ms", Value::Absent),
+                ]),
+            ],
+        )
+    }
+
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["algo", "time"]);
-        t.row(vec!["ProgXe".into(), "1.2ms".into()]);
-        t.row(vec!["SSMJ".into(), "250ms".into()]);
-        let s = t.render();
-        assert!(s.contains("algo"));
-        assert!(s.lines().count() >= 4);
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[2].starts_with("ProgXe"));
+        let table = record().table();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines[0], "algo    first_ms");
+        assert_eq!(lines[2], "ProgXe  1.5ms");
+        assert_eq!(lines[3], "SSMJ    -");
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
-    fn row_arity_checked() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["x".into()]);
+    #[should_panic(expected = "same keys")]
+    fn rows_must_share_keys() {
+        let mut record = record();
+        record
+            .rows
+            .push(row([("algo", Value::Text("JF-SL".into()))]));
+        record.table();
     }
 
     #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12µs");
-        assert_eq!(fmt_duration(Duration::from_micros(1500)), "1.50ms");
-        assert_eq!(fmt_duration(Duration::from_millis(2500)), "2.500s");
-        assert_eq!(fmt_opt_duration(None), "-");
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let dir = std::env::temp_dir().join("progxe-bench-test");
-        let path = write_csv(&dir, "test", &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
-        let content = std::fs::read_to_string(path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn json_helpers_render() {
-        assert_eq!(json_str("anti\"corr"), "\"anti\\\"corr\"");
-        let obj = json_object(&[("a", "1".into()), ("b", json_str("x"))]);
-        assert_eq!(obj, "{\"a\": 1, \"b\": \"x\"}");
-        let dir = std::env::temp_dir().join("progxe-bench-test");
-        let path = write_json(&dir, "BENCH_test", &obj).unwrap();
-        assert!(path.ends_with("BENCH_test.json"));
-        assert_eq!(std::fs::read_to_string(path).unwrap(), obj);
+    fn csv_and_bench_json_share_keys_and_units() {
+        let opt = ExpOptions {
+            out: std::env::temp_dir().join("progxe-bench-report-test"),
+            ..ExpOptions::default()
+        };
+        record().emit_bench(&opt, [("workload", Value::Object(Report::new("")))], "runs");
+        let csv = fs::read_to_string(opt.out.join("test.csv")).unwrap();
+        assert_eq!(csv, "algo,first_ms\nProgXe,1.500\nSSMJ,\n");
+        let json = fs::read_to_string(opt.out.join("BENCH_test.json")).unwrap();
+        assert!(
+            json.starts_with("{\"host\": {\"hardware_threads\": "),
+            "{json}"
+        );
+        assert!(json.ends_with(
+            "\"workload\": {}, \"runs\": [{\"algo\": \"ProgXe\", \"first_ms\": 1.500}, \
+             {\"algo\": \"SSMJ\", \"first_ms\": null}]}"
+        ));
     }
 }

@@ -3,18 +3,17 @@
 //!
 //! Every algorithm is driven through the workspace-wide
 //! [`ProgressiveEngine`] interface: [`AlgoKind::build`] instantiates the
-//! engine, and [`run_algo`] pulls its
-//! [`QuerySession`](progxe_core::session::QuerySession) to completion,
-//! turning the event stream into the `(elapsed, cumulative)` series the
-//! paper's figures plot.
+//! engine, and [`run_algo`] pulls its [`QuerySession`] to completion
+//! through [`drain`], turning the event stream into the
+//! `(elapsed, cumulative)` series the paper's figures plot.
 
 use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::{OrderingPolicy, ProgXeConfig};
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
-use progxe_core::session::{CancellationToken, ProgressiveEngine};
+use progxe_core::session::{CancellationToken, ProgressiveEngine, QuerySession, ResultEvent};
 use progxe_core::source::SourceView;
-use progxe_core::stats::ProgressRecord;
+use progxe_core::stats::{ExecStats, ProgressRecord};
 use progxe_datagen::SmjWorkload;
 use progxe_skyline::Preference;
 use std::str::FromStr;
@@ -114,7 +113,7 @@ impl FromStr for AlgoKind {
 pub struct RunResult {
     /// Algorithm label.
     pub algo: &'static str,
-    /// `(elapsed, cumulative results)` per output batch.
+    /// `(elapsed, cumulative results)` per result-bearing batch.
     pub records: Vec<ProgressRecord>,
     /// Total wall-clock time.
     pub total_time: Duration,
@@ -158,6 +157,23 @@ pub fn default_config_for(dims: usize, sigma: f64) -> ProgXeConfig {
         .with_selectivity_hint(sigma)
 }
 
+/// Pulls `session` to completion, handing every result-bearing batch to
+/// `on_batch` (progress-only batches are skipped). Returns the first such
+/// batch's `elapsed` — the time to first result — and the final stats.
+pub fn drain(
+    mut session: QuerySession<'_>,
+    mut on_batch: impl FnMut(&ResultEvent),
+) -> (Option<Duration>, ExecStats) {
+    let mut first = None;
+    while let Some(event) = session.next_batch() {
+        if !event.is_progress_only() {
+            first.get_or_insert(event.elapsed);
+            on_batch(&event);
+        }
+    }
+    (first, session.finish())
+}
+
 /// Runs one algorithm over a generated workload; `dims` output dimensions
 /// with the paper's pairwise-sum mapping, all minimized.
 pub fn run_algo(kind: AlgoKind, workload: &SmjWorkload) -> RunResult {
@@ -178,18 +194,17 @@ fn run_algo_observed(
     let t = SourceView::new(&workload.t.attrs, &workload.t.join_keys).expect("parallel arrays");
 
     let engine = kind.build(dims, sigma);
-    let mut session = engine.open(&r, &t, &maps).expect("valid configuration");
+    let session = engine.open(&r, &t, &maps).expect("valid configuration");
     on_open(session.cancel_token());
     let mut records = Vec::new();
     let mut cumulative = 0u64;
-    while let Some(event) = session.next_batch() {
+    let (_, stats) = drain(session, |event| {
         cumulative += event.tuples.len() as u64;
         records.push(ProgressRecord {
             elapsed: event.elapsed,
             cumulative,
         });
-    }
-    let stats = session.finish();
+    });
 
     RunResult {
         algo: kind.label(),

@@ -1,7 +1,8 @@
 //! The shared report shape: an insertion-ordered list of named values with
 //! one JSON encoding and one human `Display`. Both the process-wide
 //! registry snapshot and the core crate's `ExecStats` view render through
-//! this type, so every exported surface agrees on formatting.
+//! this type, as do the bench harness's tables, CSVs and `BENCH_*.json`
+//! files, so every exported surface agrees on formatting.
 
 use crate::hist::Histogram;
 use std::fmt;
@@ -23,12 +24,51 @@ pub enum Value {
     /// A latency histogram (exported as its summary object). Boxed: the
     /// bucket array would otherwise dominate every `Value`'s size.
     Hist(Box<Histogram>),
+    /// A nested report, exported as a JSON object.
+    Object(Report),
+    /// A list of reports, exported as a JSON array of objects.
+    List(Vec<Report>),
+    /// No value (a run that never produced one): JSON `null`, shown as `-`.
+    Absent,
 }
 
 impl Value {
     /// Convenience constructor boxing a histogram.
     pub fn hist(h: Histogram) -> Self {
         Value::Hist(Box::new(h))
+    }
+
+    /// The value's JSON encoding.
+    pub fn to_json(&self) -> String {
+        match self {
+            Value::U64(n) => n.to_string(),
+            Value::F64(x) if x.is_finite() => format!("{x}"),
+            Value::F64(_) | Value::Absent => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Text(s) => format!("\"{}\"", escape(s)),
+            Value::DurationMs(d) => format!("{:.3}", d.as_secs_f64() * 1e3),
+            Value::Hist(h) => h.to_json(),
+            Value::Object(r) => r.to_json(),
+            Value::List(rs) => {
+                let items: Vec<String> = rs.iter().map(Report::to_json).collect();
+                format!("[{}]", items.join(", "))
+            }
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::U64(n) => write!(f, "{n}"),
+            Value::F64(x) => write!(f, "{x:.4}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Text(s) => write!(f, "{s}"),
+            Value::DurationMs(d) => write!(f, "{d:.1?}"),
+            Value::Hist(h) => write!(f, "{h}"),
+            Value::Absent => write!(f, "-"),
+            Value::Object(_) | Value::List(_) => write!(f, "{}", self.to_json()),
+        }
     }
 }
 
@@ -83,26 +123,13 @@ impl Report {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Encodes the fields as one flat JSON object.
+    /// Encodes the fields as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut parts = Vec::with_capacity(self.fields.len());
-        for (name, value) in &self.fields {
-            let v = match value {
-                Value::U64(n) => n.to_string(),
-                Value::F64(x) => {
-                    if x.is_finite() {
-                        format!("{x}")
-                    } else {
-                        "null".to_string()
-                    }
-                }
-                Value::Bool(b) => b.to_string(),
-                Value::Text(s) => format!("\"{}\"", escape(s)),
-                Value::DurationMs(d) => format!("{:.3}", d.as_secs_f64() * 1e3),
-                Value::Hist(h) => h.to_json(),
-            };
-            parts.push(format!("\"{}\": {v}", escape(name)));
-        }
+        let parts: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(name, value)| format!("\"{}\": {}", escape(name), value.to_json()))
+            .collect();
         format!("{{{}}}", parts.join(", "))
     }
 }
@@ -113,14 +140,7 @@ impl fmt::Display for Report {
             writeln!(f, "{}", self.title)?;
         }
         for (name, value) in &self.fields {
-            match value {
-                Value::U64(n) => writeln!(f, "  {name}: {n}")?,
-                Value::F64(x) => writeln!(f, "  {name}: {x:.4}")?,
-                Value::Bool(b) => writeln!(f, "  {name}: {b}")?,
-                Value::Text(s) => writeln!(f, "  {name}: {s}")?,
-                Value::DurationMs(d) => writeln!(f, "  {name}: {d:.1?}")?,
-                Value::Hist(h) => writeln!(f, "  {name}: {h}")?,
-            }
+            writeln!(f, "  {name}: {value}")?;
         }
         Ok(())
     }
@@ -161,6 +181,22 @@ mod tests {
         let mut report = Report::new("");
         report.push("s", Value::Text("a\"b\\c\nd".into()));
         assert_eq!(report.to_json(), "{\"s\": \"a\\\"b\\\\c\\nd\"}");
+    }
+
+    #[test]
+    fn nested_lists_and_absent_values_render() {
+        let mut row = Report::new("");
+        row.push("first_ms", Value::Absent).push("n", Value::U64(2));
+        let mut report = Report::new("");
+        report
+            .push("host", Value::Object(row.clone()))
+            .push("runs", Value::List(vec![row.clone(), row]));
+        let inner = "{\"first_ms\": null, \"n\": 2}";
+        assert_eq!(
+            report.to_json(),
+            format!("{{\"host\": {inner}, \"runs\": [{inner}, {inner}]}}")
+        );
+        assert_eq!(Value::Absent.to_string(), "-");
     }
 
     #[test]
